@@ -7,9 +7,24 @@
 //! many-detector mechanisms (e.g. `X⊗X` components of two-qubit depolarizing
 //! channels) are decomposed onto existing elementary edges, matching the
 //! standard Stim/PyMatching `decompose_errors` behaviour.
+//!
+//! # Adjacency layout
+//!
+//! Adjacency is stored as CSR (compressed sparse rows): node `u`'s incident
+//! edges occupy the slots `offsets[u]..offsets[u + 1]` of two parallel
+//! columns, in ascending edge-index order (the boundary node's row is
+//! last).
+//!
+//! * The edge-id column backs [`DecodingGraph::incident`].
+//! * The arc column holds one 8-byte `GraphArc` per slot: the neighbour
+//!   across the edge, the edge's scaled integer weight
+//!   ([`crate::weight::scale_weight`], at most
+//!   [`crate::weight::MAX_SCALED_EDGE_WEIGHT`] = 2²⁸) and its observable
+//!   parity. Shortest-path searches read this contiguous column instead of
+//!   chasing edge records, and relax in exactly the `incident` order.
 
 use crate::dem::{combine_probability, DetectorErrorModel};
-use crate::weight::{snap_weight, validate_edge_weight};
+use crate::weight::{scale_weight, snap_weight, validate_edge_weight};
 use qec_core::circuit::DetectorBasis;
 use qec_core::DetectorInfo;
 use std::collections::HashMap;
@@ -28,6 +43,67 @@ pub struct GraphEdge {
     pub weight: f64,
     /// Whether traversing the edge flips the logical observable.
     pub flips_observable: bool,
+}
+
+/// One slot of the packed arc column (see the module docs): the far
+/// endpoint of an edge as seen from the row's node, plus the edge's scaled
+/// weight and observable parity. Scaled weights are at most 2²⁸, so weight
+/// and parity share one `u32`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct GraphArc {
+    to: u32,
+    /// `scaled weight << 1 | flips_observable`.
+    weight_parity: u32,
+}
+
+impl GraphArc {
+    /// The neighbour across the edge.
+    #[inline]
+    pub(crate) fn to(self) -> usize {
+        self.to as usize
+    }
+
+    /// The edge's scaled integer weight.
+    #[inline]
+    pub(crate) fn weight(self) -> i64 {
+        (self.weight_parity >> 1) as i64
+    }
+
+    /// Whether traversing the edge flips the logical observable.
+    #[inline]
+    pub(crate) fn flips_observable(self) -> bool {
+        self.weight_parity & 1 != 0
+    }
+}
+
+/// CSR adjacency of a graph with `num_nodes` detector nodes plus the
+/// boundary: row offsets, the edge-id column and the packed arc column.
+/// Edges must already have passed [`validate_edge_weight`].
+fn build_csr(num_nodes: usize, edges: &[GraphEdge]) -> (Vec<usize>, Vec<usize>, Vec<GraphArc>) {
+    let mut offsets = vec![0usize; num_nodes + 2];
+    for e in edges {
+        offsets[e.a + 1] += 1;
+        offsets[e.b + 1] += 1;
+    }
+    for u in 0..=num_nodes {
+        offsets[u + 1] += offsets[u];
+    }
+    let mut cursor = offsets.clone();
+    let mut edge_ids = vec![0usize; 2 * edges.len()];
+    let mut arcs = vec![GraphArc::default(); 2 * edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let weight_parity = (scale_weight(e.weight) as u32) << 1 | e.flips_observable as u32;
+        for (from, to) in [(e.a, e.b), (e.b, e.a)] {
+            let slot = cursor[from];
+            cursor[from] += 1;
+            edge_ids[slot] = i;
+            arcs[slot] = GraphArc {
+                to: to as u32,
+                weight_parity,
+            };
+        }
+    }
+    (offsets, edge_ids, arcs)
 }
 
 /// A matchable decoding graph over the detectors of one basis.
@@ -51,8 +127,13 @@ pub struct GraphEdge {
 pub struct DecodingGraph {
     num_nodes: usize,
     edges: Vec<GraphEdge>,
-    /// node -> incident edge indices (boundary node included, last slot).
-    adjacency: Vec<Vec<usize>>,
+    /// CSR row offsets (boundary row last): node `u`'s slots are
+    /// `offsets[u]..offsets[u + 1]` of `edge_ids` and `arcs`.
+    offsets: Vec<usize>,
+    /// Incident edge indices, ascending within each row.
+    edge_ids: Vec<usize>,
+    /// Packed arcs, parallel to `edge_ids`.
+    arcs: Vec<GraphArc>,
     /// graph node -> global detector index.
     node_to_detector: Vec<usize>,
     /// global detector index -> graph node.
@@ -169,13 +250,12 @@ impl DecodingGraph {
             validate_edge_weight(i, e.weight);
         }
 
-        let mut adjacency = vec![Vec::new(); num_nodes + 1];
-        let mut key_to_edge: HashMap<(usize, usize), usize> = HashMap::new();
-        for (i, e) in edges.iter().enumerate() {
-            adjacency[e.a].push(i);
-            adjacency[e.b].push(i);
-            key_to_edge.insert((e.a, e.b), i);
-        }
+        let (offsets, edge_ids, arcs) = build_csr(num_nodes, &edges);
+        let key_to_edge: HashMap<(usize, usize), usize> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| ((e.a, e.b), i))
+            .collect();
         let mechanism_edges = mechanism_keys
             .into_iter()
             .map(|keys| {
@@ -188,7 +268,9 @@ impl DecodingGraph {
         DecodingGraph {
             num_nodes,
             edges,
-            adjacency,
+            offsets,
+            edge_ids,
+            arcs,
             node_to_detector,
             detector_to_node,
             undetectable_observable_flips,
@@ -209,17 +291,17 @@ impl DecodingGraph {
         node_round: Vec<usize>,
     ) -> DecodingGraph {
         assert_eq!(node_round.len(), num_nodes);
-        let mut adjacency = vec![Vec::new(); num_nodes + 1];
         for (i, e) in edges.iter().enumerate() {
             debug_assert!(e.a < num_nodes && e.b <= num_nodes && e.a < e.b);
             validate_edge_weight(i, e.weight);
-            adjacency[e.a].push(i);
-            adjacency[e.b].push(i);
         }
+        let (offsets, edge_ids, arcs) = build_csr(num_nodes, &edges);
         DecodingGraph {
             num_nodes,
             edges,
-            adjacency,
+            offsets,
+            edge_ids,
+            arcs,
             node_to_detector: (0..num_nodes).collect(),
             detector_to_node: (0..num_nodes).map(Some).collect(),
             undetectable_observable_flips: 0,
@@ -252,9 +334,17 @@ impl DecodingGraph {
         &self.edges
     }
 
-    /// Edge indices incident to `node` (boundary allowed).
+    /// Edge indices incident to `node` (boundary allowed), ascending.
+    #[inline]
     pub fn incident(&self, node: usize) -> &[usize] {
-        &self.adjacency[node]
+        &self.edge_ids[self.offsets[node]..self.offsets[node + 1]]
+    }
+
+    /// The packed arcs of `node` (boundary allowed), slot for slot parallel
+    /// to [`DecodingGraph::incident`].
+    #[inline]
+    pub(crate) fn arcs(&self, node: usize) -> &[GraphArc] {
+        &self.arcs[self.offsets[node]..self.offsets[node + 1]]
     }
 
     /// Maps a graph node back to its global detector index.
@@ -589,6 +679,50 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The packed arcs must mirror `incident` slot for slot: same order,
+    /// the far endpoint, the scaled weight and the observable parity.
+    fn assert_arcs_mirror_incident(g: &DecodingGraph) {
+        for u in 0..=g.num_nodes() {
+            let (ids, arcs) = (g.incident(u), g.arcs(u));
+            assert_eq!(ids.len(), arcs.len(), "row length of node {u}");
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "row {u} ascending");
+            for (&ei, arc) in ids.iter().zip(arcs) {
+                let e = &g.edges()[ei];
+                assert!(e.a == u || e.b == u, "edge {ei} not incident to {u}");
+                let far = if e.a == u { e.b } else { e.a };
+                assert_eq!(arc.to(), far, "node {u}, edge {ei}");
+                assert_eq!(arc.weight(), scale_weight(e.weight), "node {u}, edge {ei}");
+                assert_eq!(arc.flips_observable(), e.flips_observable);
+            }
+        }
+        // Every edge appears once in each endpoint's row.
+        let slots: usize = (0..=g.num_nodes()).map(|u| g.incident(u).len()).sum();
+        assert_eq!(slots, 2 * g.edges().len());
+    }
+
+    #[test]
+    fn packed_arcs_mirror_incident_edges() {
+        for (d, rounds) in [(3, 3), (5, 4)] {
+            for basis in [DetectorBasis::Z, DetectorBasis::X] {
+                let (g, _) = graph_for(d, rounds, basis);
+                assert_arcs_mirror_incident(&g);
+            }
+        }
+        let (g, _) = graph_for(3, 8, DetectorBasis::Z);
+        let window = crate::window::WindowGraph::build(&g, 2, 5);
+        assert!(!window.graph().edges().is_empty());
+        assert_arcs_mirror_incident(window.graph());
+        let parts = DecodingGraph::from_window_parts(
+            g.num_nodes(),
+            g.edges().to_vec(),
+            g.node_rounds().to_vec(),
+        );
+        assert_arcs_mirror_incident(&parts);
+        for u in 0..=g.num_nodes() {
+            assert_eq!(parts.incident(u), g.incident(u));
         }
     }
 

@@ -41,6 +41,10 @@
 //!   [`WeightOverlay::is_erased`] per edge (erased edges grow in one unit and
 //!   contribute [`ERASED_WEIGHT`] to the peeled correction);
 //! * everyone calls [`WeightOverlay::restore`] when the shot is done.
+//!
+//! The sparse MWPM decoder ([`crate::sparse`]) does not use the overlay:
+//! its searches run on the graph itself and only ask whether an edge is
+//! erased, which it answers from its own per-shot epoch stamp.
 
 use crate::graph::DecodingGraph;
 use crate::mwpm::ShortestPaths;

@@ -12,8 +12,9 @@
 //!
 //! 1. **Index** ([`SparseIndex`], shared per graph): one integer Dijkstra
 //!    from the boundary gives every node's boundary distance `d_B`,
-//!    observable parity, and predecessor edge; every edge weight is scaled
-//!    to the shared integer grid ([`crate::weight`]).
+//!    observable parity, and predecessor edge. Every search walks the
+//!    graph's packed CSR arcs, which carry each edge's weight already
+//!    scaled to the shared integer grid ([`crate::weight`]).
 //! 2. **Candidate discovery** (per shot): from each defect `u`, a *bounded*
 //!    Dijkstra explores only nodes `w` with `d(u,w) < d_B(u) + d_B(w)` and
 //!    `d(u,w) ≤ 2·d_B(u)`. Any defect pair with `d(u,v) < d_B(u) + d_B(v)`
@@ -42,9 +43,13 @@
 //! they do not on realistic graphs.)
 //!
 //! Erasures: flagged edges cost 0 in the traversal metric, which reproduces
-//! the dense hub-contraction metric ([`WeightOverlay::effective_metrics`]
-//! treats intra-component travel as free) exactly; the boundary index is
-//! recomputed per erasure shot since the shared one is erasure-blind.
+//! the dense decoder's hub-contraction metric
+//! ([`crate::WeightOverlay::effective_metrics`] treats intra-component
+//! travel as free) exactly. The decoder needs nothing from an erasure set
+//! but "is this edge erased?", so it keeps no overlay: it stamps the
+//! shot's erased edges with a per-decoder epoch, and a search reads an arc
+//! as free when its edge carries the current stamp. The boundary index is
+//! recomputed per erasure shot, since the shared one is erasure-blind.
 //!
 //! All per-shot state is epoch-stamped and reused: the steady-state
 //! [`SyndromeDecoder::decode_batch`] loop performs no heap allocation.
@@ -52,23 +57,20 @@
 use crate::api::{DecodeOutcome, DecoderFactory, Syndrome, SyndromeDecoder};
 use crate::graph::DecodingGraph;
 use crate::matching::MatchingContext;
-use crate::overlay::WeightOverlay;
-use crate::weight::{scale_weight, WEIGHT_SCALE};
+use crate::weight::WEIGHT_SCALE;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Shared per-graph precomputation for the sparse decoder: scaled integer
-/// edge weights plus one boundary-rooted Dijkstra (distance, observable
-/// parity, and predecessor edge per node). O(V + E) memory — the sparse
-/// analogue of the dense [`crate::ShortestPaths`] table.
+/// Shared per-graph precomputation for the sparse decoder: one
+/// boundary-rooted Dijkstra (distance, observable parity, and predecessor
+/// edge per node). O(V) memory — the sparse analogue of the dense
+/// [`crate::ShortestPaths`] table.
 #[derive(Debug)]
 pub struct SparseIndex {
     /// Nodes including the boundary (= `graph.num_nodes() + 1`).
     n: usize,
-    /// Per-edge scaled integer weight.
-    scaled: Vec<i64>,
     /// Per-node scaled distance to the boundary.
     d_b: Vec<i64>,
     /// Observable parity along the shortest path to the boundary.
@@ -87,11 +89,6 @@ impl SparseIndex {
     pub fn compute(graph: &DecodingGraph) -> SparseIndex {
         let n = graph.num_nodes() + 1;
         let boundary = graph.boundary();
-        let scaled: Vec<i64> = graph
-            .edges()
-            .iter()
-            .map(|e| scale_weight(e.weight))
-            .collect();
         let mut d_b = vec![i64::MAX; n];
         let mut par_b = vec![false; n];
         let mut pred_b = vec![u32::MAX; n];
@@ -104,13 +101,12 @@ impl SparseIndex {
                 continue;
             }
             done[u] = true;
-            for &ei in graph.incident(u) {
-                let e = &graph.edges()[ei];
-                let v = if e.a == u { e.b } else { e.a };
-                let nd = d + scaled[ei];
+            for (arc, &ei) in graph.arcs(u).iter().zip(graph.incident(u)) {
+                let v = arc.to();
+                let nd = d + arc.weight();
                 if nd < d_b[v] {
                     d_b[v] = nd;
-                    par_b[v] = par_b[u] ^ e.flips_observable;
+                    par_b[v] = par_b[u] ^ arc.flips_observable();
                     pred_b[v] = ei as u32;
                     heap.push(Reverse((nd, v)));
                 }
@@ -118,7 +114,6 @@ impl SparseIndex {
         }
         SparseIndex {
             n,
-            scaled,
             d_b,
             par_b,
             pred_b,
@@ -127,8 +122,7 @@ impl SparseIndex {
 
     /// Approximate heap footprint, for size-bounded artifact caches.
     pub fn approx_bytes(&self) -> usize {
-        self.scaled.len() * std::mem::size_of::<i64>()
-            + self.d_b.len() * std::mem::size_of::<i64>()
+        self.d_b.len() * std::mem::size_of::<i64>()
             + self.par_b.len()
             + self.pred_b.len() * std::mem::size_of::<u32>()
     }
@@ -168,7 +162,10 @@ struct Candidate {
 pub struct SparseMwpmDecoder<'g> {
     graph: &'g DecodingGraph,
     index: Arc<SparseIndex>,
-    overlay: WeightOverlay,
+    /// Edge `ei` is erased in the current shot iff `erased[ei] ==
+    /// erased_epoch` (only consulted on erasure shots).
+    erased_epoch: u32,
+    erased: Vec<u32>,
     matching: MatchingContext,
     // Epoch-stamped bounded-Dijkstra scratch (node-indexed).
     epoch: u32,
@@ -224,7 +221,8 @@ impl<'g> SparseMwpmDecoder<'g> {
         SparseMwpmDecoder {
             graph,
             index,
-            overlay: WeightOverlay::new(),
+            erased_epoch: 0,
+            erased: Vec::new(),
             matching: MatchingContext::new(),
             epoch: 0,
             stamp: Vec::new(),
@@ -274,14 +272,30 @@ impl<'g> SparseMwpmDecoder<'g> {
         }
     }
 
-    /// Edge weight under the shot's metric: erased edges are free (0), which
-    /// reproduces the dense hub-contraction metric exactly.
-    #[inline]
-    fn ew(&self, eff: bool, ei: usize) -> i64 {
-        if eff && self.overlay.is_erased(ei) {
-            0
-        } else {
-            self.index.scaled[ei]
+    /// Stamps the shot's erased edges with a fresh epoch. Duplicate indices
+    /// are tolerated; no restore is needed after the shot, because the next
+    /// erasure shot starts a new epoch and erasure-free shots never read
+    /// the stamps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an erasure index is out of range for the graph's edges.
+    fn mark_erasures(&mut self, erasures: &[usize]) {
+        let m = self.graph.edges().len();
+        if self.erased.len() < m {
+            self.erased.resize(m, 0);
+        }
+        if self.erased_epoch == u32::MAX {
+            self.erased.fill(0);
+            self.erased_epoch = 0;
+        }
+        self.erased_epoch += 1;
+        for &ei in erasures {
+            assert!(
+                ei < m,
+                "erasure index {ei} out of range for a graph with {m} edges"
+            );
+            self.erased[ei] = self.erased_epoch;
         }
     }
 
@@ -336,15 +350,21 @@ impl<'g> SparseMwpmDecoder<'g> {
                     src: iu,
                 });
             }
-            for &ei in graph.incident(x) {
-                let e = &graph.edges()[ei];
-                let y = if e.a == x { e.b } else { e.a };
+            for (arc, &ei) in graph.arcs(x).iter().zip(graph.incident(x)) {
+                let y = arc.to();
                 if y == boundary {
                     // Paths through the boundary cost ≥ d_B(src) + d_B(y):
                     // always dominated (they are two boundary matches).
                     continue;
                 }
-                let nd = d + self.ew(eff, ei);
+                // Erased edges are free, which reproduces the dense
+                // hub-contraction metric exactly.
+                let w = if eff && self.erased[ei] == self.erased_epoch {
+                    0
+                } else {
+                    arc.weight()
+                };
+                let nd = d + w;
                 if nd > radius || nd >= db_src.saturating_add(self.db(eff, y)) {
                     continue;
                 }
@@ -355,7 +375,7 @@ impl<'g> SparseMwpmDecoder<'g> {
                 }
                 if nd < self.dist[y] {
                     self.dist[y] = nd;
-                    self.par[y] = self.par[x] ^ e.flips_observable;
+                    self.par[y] = self.par[x] ^ arc.flips_observable();
                     self.pred[y] = ei as u32;
                     self.heap.push(Reverse((nd, y as u32)));
                 }
@@ -363,7 +383,7 @@ impl<'g> SparseMwpmDecoder<'g> {
         }
     }
 
-    /// Recomputes the boundary index under the overlay-effective metric
+    /// Recomputes the boundary index under the erasure-effective metric
     /// (erased edges free). Full-graph Dijkstra, only run on erasure shots.
     fn compute_eff_boundary(&mut self) {
         let graph = self.graph;
@@ -383,13 +403,17 @@ impl<'g> SparseMwpmDecoder<'g> {
             if d > self.eff_db[u] {
                 continue;
             }
-            for &ei in graph.incident(u) {
-                let e = &graph.edges()[ei];
-                let v = if e.a == u { e.b } else { e.a };
-                let nd = d + self.ew(true, ei);
+            for (arc, &ei) in graph.arcs(u).iter().zip(graph.incident(u)) {
+                let v = arc.to();
+                let w = if self.erased[ei] == self.erased_epoch {
+                    0
+                } else {
+                    arc.weight()
+                };
+                let nd = d + w;
                 if nd < self.eff_db[v] {
                     self.eff_db[v] = nd;
-                    self.eff_parb[v] = self.eff_parb[u] ^ e.flips_observable;
+                    self.eff_parb[v] = self.eff_parb[u] ^ arc.flips_observable();
                     self.eff_predb[v] = ei as u32;
                     self.heap.push(Reverse((nd, v as u32)));
                 }
@@ -482,7 +506,7 @@ impl<'g> SparseMwpmDecoder<'g> {
         let start = Instant::now();
         let eff = !syndrome.erasures.is_empty();
         if eff {
-            self.overlay.apply(self.graph, &syndrome.erasures);
+            self.mark_erasures(&syndrome.erasures);
             self.compute_eff_boundary();
         }
 
@@ -668,9 +692,6 @@ impl<'g> SparseMwpmDecoder<'g> {
             if let Some(c) = correction.as_deref_mut() {
                 self.emit_pair(cand, eff, defects, c);
             }
-        }
-        if eff {
-            self.overlay.restore();
         }
         DecodeOutcome {
             flip,
@@ -862,6 +883,7 @@ mod tests {
     use super::*;
     use crate::dem::build_dem;
     use crate::mwpm::MwpmBatchDecoder;
+    use crate::weight::scale_weight;
     use qec_core::circuit::DetectorBasis;
     use qec_core::NoiseParams;
     use surface_code::{MemoryExperiment, RotatedCode};
@@ -963,6 +985,17 @@ mod tests {
                 assert_eq!(a.flip, b.flip, "flip mismatch on pair ({u}, {v})");
             }
         }
+    }
+
+    /// An erasure index past the edge list is a caller error and must say
+    /// so, not die on a bare slice index.
+    #[test]
+    #[should_panic(expected = "erasure index 1000000 out of range")]
+    fn out_of_range_erasure_is_rejected() {
+        let (graph, _) = setup(3, 2);
+        let mut decoder = SparseMwpmDecoder::new(&graph);
+        let syndrome = Syndrome::with_erasures(vec![0, 1], vec![0, 1_000_000]);
+        decoder.decode_syndrome(&syndrome);
     }
 
     #[test]

@@ -50,9 +50,13 @@
 //!   `LaneRngs::next_masked` advances all lanes of a mask in one
 //!   vectorizable elementwise pass (lanes outside the mask keep their state
 //!   via a blend, so a lane never consumes a draw the scalar path would not
-//!   have made). Rare, branchy draws (leaked-operand CNOT kicks, seepage
-//!   returns) fall back to a per-lane `Rng` rebuilt from — and written back
-//!   to — the lane's state words.
+//!   have made). The bulk passes — the advance and the hit/bit extraction
+//!   over its draws — cover live lanes only: they stop at the highest lane
+//!   of the mask, rounded up to an 8-lane block, so a ragged 8-shot stripe
+//!   runs one block per noise location instead of eight. Rare, branchy
+//!   draws (leaked-operand CNOT kicks, seepage returns) fall back to a
+//!   per-lane `Rng` rebuilt from — and written back to — the lane's state
+//!   words.
 
 use crate::readout::Discriminator;
 use qec_core::{MeasKey, NoiseParams, Op, QubitId, Rng, TransportModel};
@@ -63,6 +67,17 @@ pub const STRIPE_WIDTH: usize = 64;
 /// Mask populations below this take the per-lane scalar loop instead of a
 /// full 64-lane bulk pass.
 const BULK_MIN_LANES: u32 = 8;
+
+/// Lanes per block of the bulk draw passes.
+const LANE_BLOCK: usize = 8;
+
+/// Number of [`LANE_BLOCK`]-lane blocks a bulk pass over `mask` visits: up
+/// to the block holding the mask's highest lane. Lanes above it are not in
+/// the mask, so the pass has nothing to draw there.
+#[inline]
+fn live_blocks(mask: u64) -> usize {
+    (STRIPE_WIDTH - mask.leading_zeros() as usize).div_ceil(LANE_BLOCK)
+}
 
 /// A Bernoulli channel compiled to an exact integer threshold (see the
 /// module docs): `Never`/`Always` consume no randomness, matching
@@ -150,49 +165,63 @@ impl LaneRngs {
 
     /// Advances every lane in `mask` by one xoshiro256++ step (other lanes
     /// keep their state via a blend), writing each advanced lane's draw
-    /// into `out`. One vectorizable elementwise pass over the four state
-    /// arrays.
+    /// into `out` and 0 for the other lanes of the visited blocks. One
+    /// vectorizable elementwise pass over the four state arrays, stopping
+    /// after the mask's [`live_blocks`]; `out` beyond them is left as is.
     #[inline]
     fn next_masked(&mut self, mask: u64, out: &mut [u64; STRIPE_WIDTH]) {
         let [s0, s1, s2, s3] = &mut self.s;
-        for lane in 0..STRIPE_WIDTH {
-            let keep = 0u64.wrapping_sub(mask >> lane & 1);
-            let (a, b, c, d) = (s0[lane], s1[lane], s2[lane], s3[lane]);
-            let result = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
-            let t = b << 17;
-            let c1 = c ^ a;
-            let d1 = d ^ b;
-            let b1 = b ^ c1;
-            let a1 = a ^ d1;
-            let c2 = c1 ^ t;
-            let d2 = d1.rotate_left(45);
-            s0[lane] = (a1 & keep) | (a & !keep);
-            s1[lane] = (b1 & keep) | (b & !keep);
-            s2[lane] = (c2 & keep) | (c & !keep);
-            s3[lane] = (d2 & keep) | (d & !keep);
-            out[lane] = result & keep;
+        let blocks = live_blocks(mask);
+        let s0 = &mut s0.as_chunks_mut::<LANE_BLOCK>().0[..blocks];
+        let s1 = &mut s1.as_chunks_mut::<LANE_BLOCK>().0[..blocks];
+        let s2 = &mut s2.as_chunks_mut::<LANE_BLOCK>().0[..blocks];
+        let s3 = &mut s3.as_chunks_mut::<LANE_BLOCK>().0[..blocks];
+        let out = &mut out.as_chunks_mut::<LANE_BLOCK>().0[..blocks];
+        for blk in 0..blocks {
+            let (s0, s1, s2, s3) = (&mut s0[blk], &mut s1[blk], &mut s2[blk], &mut s3[blk]);
+            let (out, bits) = (&mut out[blk], mask >> (blk * LANE_BLOCK));
+            for lane in 0..LANE_BLOCK {
+                let keep = 0u64.wrapping_sub(bits >> lane & 1);
+                let (a, b, c, d) = (s0[lane], s1[lane], s2[lane], s3[lane]);
+                let result = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
+                let t = b << 17;
+                let c1 = c ^ a;
+                let d1 = d ^ b;
+                let b1 = b ^ c1;
+                let a1 = a ^ d1;
+                let c2 = c1 ^ t;
+                let d2 = d1.rotate_left(45);
+                s0[lane] = (a1 & keep) | (a & !keep);
+                s1[lane] = (b1 & keep) | (b & !keep);
+                s2[lane] = (c2 & keep) | (c & !keep);
+                s3[lane] = (d2 & keep) | (d & !keep);
+                out[lane] = result & keep;
+            }
         }
     }
+}
+
+/// Lane word of `f(draw)` bits over the [`live_blocks`] of `mask` (the
+/// lanes [`LaneRngs::next_masked`] just wrote), restricted to `mask`.
+#[inline]
+fn lane_bits(draws: &[u64; STRIPE_WIDTH], mask: u64, f: impl Fn(u64) -> bool) -> u64 {
+    let mut bits = 0u64;
+    for (lane, &draw) in draws[..live_blocks(mask) * LANE_BLOCK].iter().enumerate() {
+        bits |= (f(draw) as u64) << lane;
+    }
+    bits & mask
 }
 
 /// Lane word of draws below an integer Bernoulli threshold.
 #[inline]
 fn hits_below(draws: &[u64; STRIPE_WIDTH], mask: u64, thresh: u64) -> u64 {
-    let mut hits = 0u64;
-    for (lane, &draw) in draws.iter().enumerate() {
-        hits |= ((draw >> 11 < thresh) as u64) << lane;
-    }
-    hits & mask
+    lane_bits(draws, mask, |draw| draw >> 11 < thresh)
 }
 
 /// Lane word of draws' top bits (the bulk form of [`Rng::bit`]).
 #[inline]
 fn bits_msb(draws: &[u64; STRIPE_WIDTH], mask: u64) -> u64 {
-    let mut bits = 0u64;
-    for (lane, &draw) in draws.iter().enumerate() {
-        bits |= (draw >> 63) << lane;
-    }
-    bits & mask
+    lane_bits(draws, mask, |draw| draw >> 63 != 0)
 }
 
 /// The transposed measurement record of one stripe: per measurement key,
@@ -286,6 +315,9 @@ pub struct BatchFrameSimulator {
     /// One independent stream per lane (aligned with the scalar path's
     /// per-shot streams), in structure-of-arrays form.
     rngs: LaneRngs,
+    /// Scratch for the bulk draw passes, reused across calls (only the
+    /// visited blocks are written and read).
+    draws: [u64; STRIPE_WIDTH],
     /// Lanes holding live shots; a ragged final stripe activates fewer
     /// than 64.
     active: u64,
@@ -310,6 +342,7 @@ impl BatchFrameSimulator {
             noise,
             discriminator,
             rngs: LaneRngs::new(),
+            draws: [0; STRIPE_WIDTH],
             active: 0,
             record: BatchMeasRecord::new(num_keys),
         }
@@ -425,9 +458,8 @@ impl BatchFrameSimulator {
     #[inline]
     fn bernoulli_lanes(&mut self, lanes: u64, thresh: u64) -> u64 {
         if lanes.count_ones() >= BULK_MIN_LANES {
-            let mut draws = [0u64; STRIPE_WIDTH];
-            self.rngs.next_masked(lanes, &mut draws);
-            hits_below(&draws, lanes, thresh)
+            self.rngs.next_masked(lanes, &mut self.draws);
+            hits_below(&self.draws, lanes, thresh)
         } else {
             let mut hits = 0u64;
             let rngs = &mut self.rngs;
@@ -445,9 +477,8 @@ impl BatchFrameSimulator {
     #[inline]
     fn bit_lanes(&mut self, lanes: u64) -> u64 {
         if lanes.count_ones() >= BULK_MIN_LANES {
-            let mut draws = [0u64; STRIPE_WIDTH];
-            self.rngs.next_masked(lanes, &mut draws);
-            bits_msb(&draws, lanes)
+            self.rngs.next_masked(lanes, &mut self.draws);
+            bits_msb(&self.draws, lanes)
         } else {
             let mut bits = 0u64;
             let rngs = &mut self.rngs;
@@ -743,8 +774,13 @@ mod tests {
         }
         let mut out = [0u64; STRIPE_WIDTH];
         let mut mix = Rng::new(1);
-        for _ in 0..200 {
-            let mask = mix.next_u64();
+        for round in 0..400 {
+            // Every other mask is confined to the low 1..=64 lanes, so the
+            // pass stops at every block edge (and inside every block).
+            let mask = match round % 2 {
+                0 => mix.next_u64(),
+                _ => mix.next_u64() & (u64::MAX >> mix.below(64)),
+            };
             lanes.next_masked(mask, &mut out);
             for (l, scalar) in scalars.iter_mut().enumerate() {
                 if mask >> l & 1 != 0 {
@@ -760,6 +796,16 @@ mod tests {
                 "final state, lane {l}"
             );
         }
+    }
+
+    #[test]
+    fn live_blocks_round_the_top_lane_up_to_a_block() {
+        assert_eq!(live_blocks(0), 0);
+        assert_eq!(live_blocks(1), 1);
+        assert_eq!(live_blocks(0xFF), 1);
+        assert_eq!(live_blocks(0x100), 2);
+        assert_eq!(live_blocks(1 << 62), 8);
+        assert_eq!(live_blocks(!0), 8);
     }
 
     #[test]

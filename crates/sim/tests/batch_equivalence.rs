@@ -151,15 +151,29 @@ fn masked_execution_matches_per_lane_subsequences() {
 
 #[test]
 fn ragged_stripe_matches_scalar() {
-    // 13 lanes: the ragged final stripe of a shot count that is not a
-    // multiple of 64.
+    // Ragged final stripes of shot counts that are not a multiple of 64.
+    // The bulk draw passes stop at the 8-lane block holding the highest
+    // live lane, so the lane counts sit on both sides of block edges: 1
+    // and 7 (one partial block), 8 (one full block), 9 and 13 (a second,
+    // partial block) and 63 (one lane short of a full stripe).
     let noise = NoiseParams::standard(5e-2);
     let mut gen = Rng::new(31);
     let mut next_key = 0;
-    let ops: Vec<(Op, u64)> = (0..400)
+    let random_masks: Vec<(Op, u64)> = (0..400)
         .map(|_| (random_op(&mut gen, &mut next_key), gen.next_u64()))
         .collect();
-    assert_equivalent(noise, Discriminator::MultiLevel, 13, &ops, 5150);
+    // Broad masks keep whole ragged stripes on the bulk path.
+    let broad_masks: Vec<(Op, u64)> = (0..400)
+        .map(|_| {
+            let op = random_op(&mut gen, &mut next_key);
+            let mask = if gen.bit() { !0u64 } else { gen.next_u64() };
+            (op, mask)
+        })
+        .collect();
+    for lanes in [1, 7, 8, 9, 13, 63] {
+        assert_equivalent(noise, Discriminator::MultiLevel, lanes, &random_masks, 5150);
+        assert_equivalent(noise, Discriminator::TwoLevel, lanes, &broad_masks, 5151);
+    }
 }
 
 #[test]
