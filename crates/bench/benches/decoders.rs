@@ -21,22 +21,35 @@ use surface_code::{MemoryExperiment, RotatedCode};
 fn main() {
     let h = Harness::from_args();
 
-    for (d, rounds) in [(3usize, 3usize), (5, 5)] {
+    // Set-up path: the d9_r90 cases are the ler_d9 end-to-end workload's
+    // shape, where DEM construction and graph projection are most of the
+    // runner build.
+    for (d, rounds) in [(3usize, 3usize), (5, 5), (9, 90)] {
+        let name = format!("dem_build/d{d}_r{rounds}");
+        if !h.matches(&name) {
+            continue;
+        }
         let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
         let detectors = exp.detectors();
         let observable = exp.observable_keys();
         let circuit = exp.base_circuit();
-        h.bench(&format!("dem_build/d{d}_r{rounds}"), || {
+        h.bench(&name, || {
             build_dem(black_box(&circuit), &detectors, &observable)
         });
     }
 
-    {
-        let fixture = decode_fixture(5, 5, 1);
-        let exp = MemoryExperiment::new(RotatedCode::new(5), NoiseParams::standard(1e-3), 5);
+    for (name, d, rounds) in [
+        ("graph_from_dem_d5", 5usize, 5usize),
+        ("graph_from_dem/d9_r90", 9, 90),
+    ] {
+        if !h.matches(name) {
+            continue;
+        }
+        let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
         let detectors = exp.detectors();
-        h.bench("graph_from_dem_d5", || {
-            DecodingGraph::from_dem(black_box(&fixture.dem), &detectors, DetectorBasis::Z)
+        let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+        h.bench(name, || {
+            DecodingGraph::from_dem(black_box(&dem), &detectors, DetectorBasis::Z)
         });
     }
 

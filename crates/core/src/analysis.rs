@@ -95,8 +95,9 @@ pub fn transport_amplification_ratio() -> f64 {
 ///
 /// The Monte-Carlo LPR (Fig 5) equilibrates near this value; the paper's
 /// curves are still rising at round 70 toward a higher level, a
-/// leakage-model difference documented in EXPERIMENTS.md. The test-suite
-/// checks simulation-vs-model agreement within a factor of two.
+/// leakage-model difference visible in `eraser-experiments fig5`'s
+/// per-round LPR table. The test-suite checks simulation-vs-model agreement
+/// within a factor of two.
 pub fn predicted_always_lrc_data_lpr(p: f64, leak_fraction: f64, p_transport: f64) -> f64 {
     let p_leak = leak_fraction * p;
     let cnots_per_round = 4.0 + 5.0 / 2.0;

@@ -16,7 +16,8 @@
 //!   log-depth critical path after restructuring).
 //!
 //! The model is calibrated to reproduce Table 3's O(d²) scaling and absolute
-//! order of magnitude; see EXPERIMENTS.md for paper-vs-model numbers.
+//! order of magnitude; `eraser-experiments table3` prints the model's
+//! numbers beside the paper's (see the README's Quickstart).
 
 use surface_code::RotatedCode;
 

@@ -51,10 +51,10 @@ use leak_sim::{BatchFrameSimulator, Discriminator, FrameSimulator, STRIPE_WIDTH}
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
-    build_dem, DecodeOutcome, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan, FusionPool,
-    GreedyFactory, MwpmFactory, ShortestPaths, SparseIndex, SparseMwpmFactory, StreamingDecoder,
-    Syndrome, SyndromeDecoder, TierCounters, TieredDecoder, UnionFindCapacities, UnionFindFactory,
-    WindowBackend, WindowPlan, WindowedDecoder,
+    build_dem, DecodeOutcome, DecoderFactory, DecodingGraph, DetectorErrorModel, FusionDecoder,
+    FusionPlan, FusionPool, GreedyFactory, MwpmFactory, ShortestPaths, SparseIndex,
+    SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder, TierCounters, TieredDecoder,
+    UnionFindCapacities, UnionFindFactory, WindowBackend, WindowPlan, WindowedDecoder,
 };
 use std::sync::Arc;
 use surface_code::{
@@ -586,6 +586,64 @@ fn shot_rng(seed: u64, shot: u64) -> Rng {
     Rng::new(seed ^ shot.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// Builds the runner's provenance buckets as CSR `(offsets, edges)`, row
+/// `round * num_qubits + qubit`: every mechanism's graph edges are credited
+/// to each `(round, qubit)` its source ops touched (`op_round` gives an
+/// op's round), then each row is sorted and deduplicated. Two passes
+/// (count, fill) size the column; deduplication compacts it in place.
+fn provenance_buckets(
+    dem: &DetectorErrorModel,
+    graph: &DecodingGraph,
+    ops: &[Op],
+    op_round: &[usize],
+    rounds: usize,
+    num_qubits: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let buckets = rounds * num_qubits;
+    let credits = |visit: &mut dyn FnMut(usize, &[usize])| {
+        for (mi, mech) in dem.mechanisms.iter().enumerate() {
+            let medges = graph.erasure_edges_for_mechanism(mi);
+            if medges.is_empty() {
+                continue;
+            }
+            for &src in &mech.sources {
+                let r = op_round[src as usize];
+                for q in op_operands(&ops[src as usize]).into_iter().flatten() {
+                    visit(r * num_qubits + q, medges);
+                }
+            }
+        }
+    };
+    let mut offsets = vec![0usize; buckets + 1];
+    credits(&mut |b, medges| offsets[b + 1] += medges.len());
+    for b in 0..buckets {
+        offsets[b + 1] += offsets[b];
+    }
+    let mut cursor = offsets.clone();
+    let mut edges = vec![0usize; offsets[buckets]];
+    credits(&mut |b, medges| {
+        edges[cursor[b]..cursor[b] + medges.len()].copy_from_slice(medges);
+        cursor[b] += medges.len();
+    });
+    let (mut start, mut write) = (0, 0);
+    for b in 0..buckets {
+        let end = offsets[b + 1];
+        edges[start..end].sort_unstable();
+        let row_start = write;
+        for i in start..end {
+            if write == row_start || edges[i] != edges[write - 1] {
+                edges[write] = edges[i];
+                write += 1;
+            }
+        }
+        offsets[b + 1] = write;
+        start = end;
+    }
+    edges.truncate(write);
+    edges.shrink_to_fit();
+    (offsets, edges)
+}
+
 /// The qubit operands of an op, for fault-provenance attribution (only
 /// noise ops ever appear as mechanism sources, but the mapping is total).
 fn op_operands(op: &Op) -> [Option<usize>; 2] {
@@ -926,7 +984,12 @@ pub struct MemoryRunner {
     /// sets (detector stars, or space/time edges picked by geometry) are
     /// measurably wrong here: mid-round fault injection lands on diagonal
     /// space-time edges that geometric reasoning misses.
-    qubit_round_edges: Vec<Vec<usize>>,
+    ///
+    /// Stored as CSR (compressed rows): bucket `b = round * num_qubits +
+    /// qubit` is
+    /// `qubit_round_edges[qubit_round_offsets[b]..qubit_round_offsets[b + 1]]`.
+    qubit_round_offsets: Vec<usize>,
+    qubit_round_edges: Vec<usize>,
 }
 
 /// The decode-path artifacts resolved for one (runner, config) pair:
@@ -1123,26 +1186,14 @@ impl MemoryRunner {
         // Provenance buckets: for every mechanism, credit its edges to each
         // (round, qubit) its source fault ops touched.
         let num_qubits = exp.code().num_qubits();
-        let mut qubit_round_edges: Vec<Vec<usize>> = vec![Vec::new(); rounds * num_qubits];
-        for (mi, mech) in dem.mechanisms.iter().enumerate() {
-            let medges = graph.erasure_edges_for_mechanism(mi);
-            if medges.is_empty() {
-                continue;
-            }
-            for &src in &mech.sources {
-                let r = op_round[src as usize];
-                for q in op_operands(&base_circuit.ops()[src as usize])
-                    .into_iter()
-                    .flatten()
-                {
-                    qubit_round_edges[r * num_qubits + q].extend_from_slice(medges);
-                }
-            }
-        }
-        for bucket in &mut qubit_round_edges {
-            bucket.sort_unstable();
-            bucket.dedup();
-        }
+        let (qubit_round_offsets, qubit_round_edges) = provenance_buckets(
+            &dem,
+            &graph,
+            base_circuit.ops(),
+            &op_round,
+            rounds,
+            num_qubits,
+        );
 
         let slot_table = SlotTable::new(exp.code());
         let masked_swap = builder.masked_round(&slot_table, exp.keys());
@@ -1167,6 +1218,7 @@ impl MemoryRunner {
             masked_dqlr,
             stab_deterministic_round0,
             detector_nodes_by_round,
+            qubit_round_offsets,
             qubit_round_edges,
         }
     }
@@ -1200,8 +1252,14 @@ impl MemoryRunner {
             if r > last {
                 continue;
             }
-            out.extend_from_slice(&self.qubit_round_edges[r * num_qubits + qubit]);
+            out.extend_from_slice(self.qubit_round_bucket(r, qubit, num_qubits));
         }
+    }
+
+    /// The provenance bucket of `(round, qubit)`.
+    fn qubit_round_bucket(&self, round: usize, qubit: usize, num_qubits: usize) -> &[usize] {
+        let b = round * num_qubits + qubit;
+        &self.qubit_round_edges[self.qubit_round_offsets[b]..self.qubit_round_offsets[b + 1]]
     }
 
     /// Collects detector round `round`'s fired defects (graph node ids,
@@ -1254,11 +1312,7 @@ impl MemoryRunner {
     /// Approximate heap footprint of the runner itself (DEM-derived graph,
     /// round schedules, provenance buckets), for size-bounded caches.
     pub fn approx_bytes(&self) -> usize {
-        let buckets: usize = self
-            .qubit_round_edges
-            .iter()
-            .map(|b| b.len() * std::mem::size_of::<usize>())
-            .sum();
+        let buckets = self.qubit_round_edges.len() * std::mem::size_of::<usize>();
         let detectors = self.detectors.len() * std::mem::size_of::<DetectorInfo>();
         let segments =
             (self.init_segment.len() + self.final_segment.len()) * std::mem::size_of::<Op>();
@@ -3062,6 +3116,59 @@ mod tests {
         floor.record(0, 1);
         assert_eq!(floor.samples(), 1);
         assert!(floor.quantile_ns_per_round(0.5) > 0.0);
+    }
+
+    /// FNV-1a over a list of words (each as 8 little-endian bytes).
+    fn fnv1a(items: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for item in items {
+            for byte in item.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins every `(round, qubit)` provenance bucket and the runner's
+    /// `approx_bytes` (which sizes the serve artifact cache, so a change
+    /// moves its evictions). Captured from the nested-`Vec` bucket layout,
+    /// not from the code under test.
+    #[test]
+    fn provenance_buckets_are_pinned() {
+        #[rustfmt::skip]
+        let shapes = [
+            (3, 3, MemoryBasis::Z, NoiseParams::standard(1e-3), 239, 8504, 0x74b8_43dd_5605_16de),
+            (5, 5, MemoryBasis::Z, NoiseParams::standard(2e-3), 1373, 41896, 0xad37_fe93_a3ba_73ce),
+            (9, 90, MemoryBasis::Z, NoiseParams::standard(1e-3), 91490, 2354000, 0x7a43_30df_1177_268c),
+            (5, 4, MemoryBasis::X, NoiseParams::standard(1e-3), 1096, 37952, 0x15c4_9dda_ae0c_919a),
+            (5, 5, MemoryBasis::Z, NoiseParams::exchange_transport(1e-3), 1373, 41896, 0xad37_fe93_a3ba_73ce),
+        ];
+        for (d, rounds, basis, noise, entries, bytes, digest) in shapes {
+            let runner = MemoryRunner::new_with_basis(d, noise, rounds, basis);
+            let num_qubits = runner.exp.code().num_qubits();
+            let mut words = Vec::new();
+            for r in 0..rounds {
+                for q in 0..num_qubits {
+                    let bucket = runner.qubit_round_bucket(r, q, num_qubits);
+                    words.push(bucket.len() as u64);
+                    words.extend(bucket.iter().map(|&e| e as u64));
+                }
+            }
+            let actual = (
+                words.len() - rounds * num_qubits,
+                runner.approx_bytes(),
+                fnv1a(words),
+            );
+            assert_eq!(
+                actual,
+                (entries, bytes, digest),
+                "d={d} R={rounds} {basis:?}: (entries, approx_bytes, digest) = ({}, {}, {:#018x})",
+                actual.0,
+                actual.1,
+                actual.2
+            );
+        }
     }
 
     #[test]

@@ -21,12 +21,38 @@
 //! mechanism does, however, record its fault **provenance**
 //! ([`ErrorMechanism::sources`]): the op indices of the contributing noise
 //! sites, which is what lets the runtime translate heralded leakage into
-//! exact erased-edge sets. Tracking it costs a constant factor on model
-//! construction — a once-per-graph price, invisible next to the Monte-Carlo
-//! loop it serves.
+//! exact erased-edge sets.
+//!
+//! # Interning
+//!
+//! The model is rebuilt for every runner, sweep point and cold serve job,
+//! and at d = 9, R = 90 about 425k fault components merge into 138k
+//! mechanisms, so the builder is most of a runner's set-up. It therefore
+//! makes a few large allocations instead of one per component:
+//!
+//! * Per-qubit signatures are XORed through one reused scratch buffer
+//!   (sorted merge, then swap), never cloned.
+//! * Mechanisms are interned: their detector lists live in one flat `u32`
+//!   arena, looked up through an open-addressing id table with a
+//!   std-only Fx hash (`crate::fxhash`). Probabilities sit in a flat
+//!   `Vec<f64>`.
+//! * Provenance is one flat `(mechanism, op)` list, bucketed by a counting
+//!   sort once the pass is done.
+//! * Mechanism ids are sorted by `(detectors, flips_observable)` over the
+//!   arena, and each public [`ErrorMechanism`] is built once, in that
+//!   order.
+//!
+//! **Record order is part of the output.** A mechanism's probability is
+//! the XOR-combination of its components in the order the backward pass
+//! meets them: descending op index, and within an op the channel's
+//! component order (X, Z, Y for `Depolarize1`; the 15 operand pairs over
+//! I, X, Y, Z, first operand major, for `Depolarize2`). Floating-point combination is not associative, so
+//! reordering the calls would move the last bits of the probabilities, and
+//! with them the decoding graph's weights.
 
+use crate::fxhash::FxHasher;
 use qec_core::{Circuit, DetectorInfo, MeasKey, Op};
-use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// One merged error mechanism: the detectors it flips, whether it flips the
 /// logical observable, and its total probability.
@@ -69,51 +95,247 @@ impl Signature {
         self.obs = false;
     }
 
-    fn is_empty(&self) -> bool {
-        self.dets.is_empty() && !self.obs
-    }
-
-    /// Symmetric difference (sorted-merge XOR) plus observable XOR.
-    fn xor_with(&mut self, other: &Signature) {
-        if other.dets.is_empty() {
-            self.obs ^= other.obs;
+    /// XORs `(dets, obs)` into `self`, merging through `scratch` and
+    /// swapping buffers, so no call allocates once the buffers have grown.
+    fn xor_assign(&mut self, dets: &[u32], obs: bool, scratch: &mut Vec<u32>) {
+        self.obs ^= obs;
+        if dets.is_empty() {
             return;
         }
-        let mut out = Vec::with_capacity(self.dets.len() + other.dets.len());
-        let (a, b) = (&self.dets, &other.dets);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
+        xor_into(scratch, &self.dets, dets);
+        std::mem::swap(&mut self.dets, scratch);
+    }
+}
+
+/// Writes the symmetric difference of two sorted detector lists to `out`
+/// (sorted-merge XOR), replacing its contents.
+fn xor_into(out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
             }
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        self.dets = out;
-        self.obs ^= other.obs;
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
 
-    fn xor_of(a: &Signature, b: &Signature) -> Signature {
-        let mut out = a.clone();
-        out.xor_with(b);
-        out
-    }
+/// `sigs[dst] ^= sigs[src]` for `dst != src`.
+fn xor_from(sigs: &mut [Signature], dst: usize, src: usize, scratch: &mut Vec<u32>) {
+    let (d, s) = if dst < src {
+        let (lo, hi) = sigs.split_at_mut(src);
+        (&mut lo[dst], &hi[0])
+    } else {
+        let (lo, hi) = sigs.split_at_mut(dst);
+        (&mut hi[0], &lo[src])
+    };
+    d.xor_assign(&s.dets, s.obs, scratch);
 }
 
 /// XOR-combines two independent probabilities: P(exactly one fires).
 pub(crate) fn combine_probability(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
+}
+
+/// Empty slot of [`MechanismTable::slots`].
+const EMPTY: u64 = u64::MAX;
+
+/// Interned mechanisms in first-seen order: id `i`'s detectors are
+/// `arena[offsets[i]..offsets[i + 1]]`, with its observable flag and
+/// running probability in parallel columns. `slots` is an open-addressing
+/// (linear probing) table, kept at most half full, whose entries pack the
+/// low 32 bits of the key's hash above the id, so most mismatches are
+/// rejected without touching the arena.
+struct MechanismTable {
+    arena: Vec<u32>,
+    offsets: Vec<usize>,
+    obs: Vec<bool>,
+    probability: Vec<f64>,
+    /// The op that last recorded a component into each id: a site's
+    /// repeat components are recorded back to back, so comparing with it
+    /// keeps `provenance` free of duplicates.
+    last_source: Vec<u32>,
+    slots: Vec<u64>,
+    /// `64 - log2(slots.len())`: a key's home slot is its hash's top bits.
+    shift: u32,
+    /// `(mechanism id, op index)` per distinct contribution, in record
+    /// order.
+    provenance: Vec<(u32, u32)>,
+}
+
+impl MechanismTable {
+    fn new() -> MechanismTable {
+        const INITIAL_SLOTS: usize = 1 << 10;
+        MechanismTable {
+            arena: Vec::new(),
+            offsets: vec![0],
+            obs: Vec::new(),
+            probability: Vec::new(),
+            last_source: Vec::new(),
+            slots: vec![EMPTY; INITIAL_SLOTS],
+            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
+            provenance: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.obs.len()
+    }
+
+    fn dets(&self, id: usize) -> &[u32] {
+        &self.arena[self.offsets[id]..self.offsets[id + 1]]
+    }
+
+    fn hash(dets: &[u32], obs: bool) -> u64 {
+        let mut h = FxHasher::default();
+        for &d in dets {
+            h.add(d as u64);
+        }
+        // The final multiply carries every input bit into the top bits,
+        // which is where the home slot comes from.
+        h.add(obs as u64);
+        h.finish()
+    }
+
+    /// The slot holding the key `(dets, obs)`, or the empty slot where it
+    /// belongs.
+    fn probe(&self, hash: u64, dets: &[u32], obs: bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let tag = hash << 32;
+        let mut i = (hash >> self.shift) as usize;
+        loop {
+            let entry = self.slots[i];
+            if entry == EMPTY {
+                return i;
+            }
+            if entry >> 32 == tag >> 32 {
+                let id = entry as u32 as usize;
+                if self.obs[id] == obs && self.dets(id) == dets {
+                    return i;
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// XOR-combines component probability `p` into the mechanism
+    /// `(dets, obs)`, interning it on first sight, and records op `source`
+    /// as its provenance.
+    fn record(&mut self, dets: &[u32], obs: bool, p: f64, source: usize) {
+        if (dets.is_empty() && !obs) || p <= 0.0 {
+            return;
+        }
+        let hash = Self::hash(dets, obs);
+        let slot = self.probe(hash, dets, obs);
+        let id = match self.slots[slot] {
+            EMPTY => {
+                let id = self.len();
+                // Ids are packed into 32 bits, and an all-ones entry is EMPTY.
+                assert!(id < u32::MAX as usize, "too many error mechanisms");
+                self.arena.extend_from_slice(dets);
+                self.offsets.push(self.arena.len());
+                self.obs.push(obs);
+                self.probability.push(0.0);
+                self.last_source.push(u32::MAX);
+                self.slots[slot] = hash << 32 | id as u64;
+                if 2 * self.len() > self.slots.len() {
+                    self.grow();
+                }
+                id
+            }
+            entry => entry as u32 as usize,
+        };
+        self.probability[id] = combine_probability(self.probability[id], p);
+        let source = source as u32;
+        if self.last_source[id] != source {
+            self.last_source[id] = source;
+            self.provenance.push((id as u32, source));
+        }
+    }
+
+    /// Doubles the slot table and reinserts every id.
+    fn grow(&mut self) {
+        let len = self.slots.len() * 2;
+        self.slots = vec![EMPTY; len];
+        self.shift -= 1;
+        let mask = len - 1;
+        for id in 0..self.len() {
+            let hash = Self::hash(self.dets(id), self.obs[id]);
+            let mut i = (hash >> self.shift) as usize;
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = hash << 32 | id as u64;
+        }
+    }
+
+    /// The public mechanisms, sorted by `(detectors, flips_observable)`,
+    /// with provenance bucketed per mechanism.
+    fn into_mechanisms(self) -> Vec<ErrorMechanism> {
+        let n = self.len();
+        // Counting sort of the provenance by mechanism id. The backward pass
+        // recorded op indices in decreasing order, so filling from the end
+        // leaves each bucket ascending.
+        let mut starts = vec![0usize; n + 1];
+        for &(id, _) in &self.provenance {
+            starts[id as usize + 1] += 1;
+        }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut cursor = starts.clone();
+        let mut sources = vec![0u32; self.provenance.len()];
+        for &(id, op) in self.provenance.iter().rev() {
+            let slot = &mut cursor[id as usize];
+            sources[*slot] = op;
+            *slot += 1;
+        }
+
+        // Sort by a packed prefix of the first two detectors (each + 1, so
+        // a shorter list sorts first), falling back to the full key on a
+        // tie: the same order as comparing the detector lists outright.
+        let prefix = |dets: &[u32]| {
+            let at = |i: usize| dets.get(i).map_or(0, |&d| d as u64 + 1);
+            at(0) << 32 | at(1)
+        };
+        let mut order: Vec<(u64, u32)> = (0..n)
+            .map(|id| (prefix(self.dets(id)), id as u32))
+            .collect();
+        order.sort_unstable_by(|&(pa, a), &(pb, b)| {
+            pa.cmp(&pb).then_with(|| {
+                let (a, b) = (a as usize, b as usize);
+                self.dets(a)
+                    .cmp(self.dets(b))
+                    .then(self.obs[a].cmp(&self.obs[b]))
+            })
+        });
+        order
+            .into_iter()
+            .map(|(_, id)| {
+                let id = id as usize;
+                let sources = &sources[starts[id]..starts[id + 1]];
+                debug_assert!(sources.windows(2).all(|w| w[0] < w[1]));
+                ErrorMechanism {
+                    detectors: self.dets(id).iter().map(|&d| d as usize).collect(),
+                    flips_observable: self.obs[id],
+                    probability: self.probability[id],
+                    sources: sources.to_vec(),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Builds the detector error model of `circuit` against the given detector
@@ -129,45 +351,54 @@ pub fn build_dem(
     observable: &[MeasKey],
 ) -> DetectorErrorModel {
     let num_keys = circuit.num_keys();
-    // Per-key signature: the detectors containing the key, plus observable
-    // membership.
-    let mut key_sig: Vec<Signature> = vec![Signature::default(); num_keys];
-    for (idx, det) in detectors.iter().enumerate() {
+    // Detector ids are stored as `u32`, and the sort prefix needs `id + 1`
+    // to fit as well.
+    assert!(detectors.len() < u32::MAX as usize, "too many detectors");
+    // Per-key signature as CSR: the detectors containing key `k` are
+    // `key_dets[key_start[k]..key_start[k + 1]]`, ascending because
+    // detectors are visited in index order.
+    let mut key_start = vec![0usize; num_keys + 1];
+    for det in detectors {
         for &k in &det.keys {
             assert!(k < num_keys, "detector references unmeasured key {k}");
-            key_sig[k].dets.push(idx as u32);
+            key_start[k + 1] += 1;
         }
     }
-    for sig in &mut key_sig {
-        sig.dets.sort_unstable();
+    for k in 0..num_keys {
+        key_start[k + 1] += key_start[k];
     }
+    let mut cursor = key_start.clone();
+    let mut key_dets = vec![0u32; key_start[num_keys]];
+    for (idx, det) in detectors.iter().enumerate() {
+        for &k in &det.keys {
+            key_dets[cursor[k]] = idx as u32;
+            cursor[k] += 1;
+        }
+    }
+    let mut key_obs = vec![false; num_keys];
     for &k in observable {
         assert!(k < num_keys, "observable references unmeasured key {k}");
-        key_sig[k].obs = true;
+        key_obs[k] = true;
     }
 
     let nq = circuit.num_qubits();
     let mut sig_x: Vec<Signature> = vec![Signature::default(); nq];
     let mut sig_z: Vec<Signature> = vec![Signature::default(); nq];
-    let mut merged: HashMap<(Vec<u32>, bool), (f64, Vec<u32>)> = HashMap::new();
-    let mut record = |sig: Signature, p: f64, source: usize| {
-        if sig.is_empty() || p <= 0.0 {
-            return;
-        }
-        let entry = merged
-            .entry((sig.dets, sig.obs))
-            .or_insert((0.0, Vec::new()));
-        entry.0 = combine_probability(entry.0, p);
-        entry.1.push(source as u32);
-    };
+    let mut table = MechanismTable::new();
+    // Reused buffers: the merge scratch, the Y components of the (up to
+    // two) operands, and one two-qubit component.
+    let mut scratch = Vec::new();
+    let mut y_a = Vec::new();
+    let mut y_b = Vec::new();
+    let mut component = Vec::new();
 
     for (op_idx, op) in circuit.ops().iter().enumerate().rev() {
         match *op {
             Op::Measure { qubit, key } => {
                 // An X error before MZ flips the outcome (and persists, which
                 // the signature already accounts for via later ops).
-                let ks = key_sig[key].clone();
-                sig_x[qubit].xor_with(&ks);
+                let dets = &key_dets[key_start[key]..key_start[key + 1]];
+                sig_x[qubit].xor_assign(dets, key_obs[key], &mut scratch);
             }
             Op::Reset(q) => {
                 sig_x[q].clear();
@@ -176,48 +407,51 @@ pub fn build_dem(
             Op::H(q) => std::mem::swap(&mut sig_x[q], &mut sig_z[q]),
             Op::Cnot { control, target } | Op::CnotNoTransport { control, target } => {
                 // Forward: X_c → X_c X_t, so an X on c also acts as X on t.
-                let t = sig_x[target].clone();
-                sig_x[control].xor_with(&t);
+                xor_from(&mut sig_x, control, target, &mut scratch);
                 // Forward: Z_t → Z_t Z_c.
-                let c = sig_z[control].clone();
-                sig_z[target].xor_with(&c);
+                xor_from(&mut sig_z, target, control, &mut scratch);
             }
             Op::Depolarize1 { qubit, p } => {
                 if p > 0.0 {
                     let share = p / 3.0;
-                    record(sig_x[qubit].clone(), share, op_idx);
-                    record(sig_z[qubit].clone(), share, op_idx);
-                    record(
-                        Signature::xor_of(&sig_x[qubit], &sig_z[qubit]),
-                        share,
-                        op_idx,
-                    );
+                    let (x, z) = (&sig_x[qubit], &sig_z[qubit]);
+                    table.record(&x.dets, x.obs, share, op_idx);
+                    table.record(&z.dets, z.obs, share, op_idx);
+                    xor_into(&mut y_a, &x.dets, &z.dets);
+                    table.record(&y_a, x.obs ^ z.obs, share, op_idx);
                 }
             }
             Op::XError { qubit, p } => {
-                record(sig_x[qubit].clone(), p, op_idx);
+                let x = &sig_x[qubit];
+                table.record(&x.dets, x.obs, p, op_idx);
             }
             Op::Depolarize2 { a, b, p } => {
                 if p > 0.0 {
                     let share = p / 15.0;
-                    let pa = [
-                        Signature::default(),
-                        sig_x[a].clone(),
-                        Signature::xor_of(&sig_x[a], &sig_z[a]),
-                        sig_z[a].clone(),
+                    let (xa, za) = (&sig_x[a], &sig_z[a]);
+                    let (xb, zb) = (&sig_x[b], &sig_z[b]);
+                    xor_into(&mut y_a, &xa.dets, &za.dets);
+                    xor_into(&mut y_b, &xb.dets, &zb.dets);
+                    // Components in I, X, Y, Z order on each operand.
+                    let pa: [(&[u32], bool); 4] = [
+                        (&[], false),
+                        (&xa.dets, xa.obs),
+                        (&y_a, xa.obs ^ za.obs),
+                        (&za.dets, za.obs),
                     ];
-                    let pb = [
-                        Signature::default(),
-                        sig_x[b].clone(),
-                        Signature::xor_of(&sig_x[b], &sig_z[b]),
-                        sig_z[b].clone(),
+                    let pb: [(&[u32], bool); 4] = [
+                        (&[], false),
+                        (&xb.dets, xb.obs),
+                        (&y_b, xb.obs ^ zb.obs),
+                        (&zb.dets, zb.obs),
                     ];
-                    for (i, sa) in pa.iter().enumerate() {
-                        for (j, sb) in pb.iter().enumerate() {
+                    for (i, &(da, oa)) in pa.iter().enumerate() {
+                        for (j, &(db, ob)) in pb.iter().enumerate() {
                             if i == 0 && j == 0 {
                                 continue;
                             }
-                            record(Signature::xor_of(sa, sb), share, op_idx);
+                            xor_into(&mut component, da, db);
+                            table.record(&component, oa ^ ob, share, op_idx);
                         }
                     }
                 }
@@ -227,29 +461,9 @@ pub fn build_dem(
         }
     }
 
-    let mut mechanisms: Vec<ErrorMechanism> = merged
-        .into_iter()
-        .map(
-            |((dets, flips_observable), (probability, mut sources))| ErrorMechanism {
-                detectors: dets.into_iter().map(|d| d as usize).collect(),
-                flips_observable,
-                probability,
-                sources: {
-                    sources.sort_unstable();
-                    sources.dedup();
-                    sources
-                },
-            },
-        )
-        .collect();
-    mechanisms.sort_by(|a, b| {
-        a.detectors
-            .cmp(&b.detectors)
-            .then(a.flips_observable.cmp(&b.flips_observable))
-    });
     DetectorErrorModel {
         num_detectors: detectors.len(),
-        mechanisms,
+        mechanisms: table.into_mechanisms(),
     }
 }
 
@@ -423,11 +637,15 @@ mod tests {
             dets: vec![3, 4],
             obs: true,
         };
-        let c = Signature::xor_of(&a, &b);
+        let mut scratch = Vec::new();
+        let mut c = a.clone();
+        c.xor_assign(&b.dets, b.obs, &mut scratch);
         assert_eq!(c.dets, vec![1, 4, 5]);
         assert!(!c.obs);
         // XOR with self annihilates.
-        assert!(Signature::xor_of(&a, &a).is_empty());
+        let mut c = a.clone();
+        c.xor_assign(&a.dets, a.obs, &mut scratch);
+        assert_eq!(c, Signature::default());
     }
 
     /// Cross-check the backward builder against literal forward frame

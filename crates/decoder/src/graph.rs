@@ -24,6 +24,7 @@
 //!   chasing edge records, and relax in exactly the `incident` order.
 
 use crate::dem::{combine_probability, DetectorErrorModel};
+use crate::fxhash::FxBuildHasher;
 use crate::weight::{scale_weight, snap_weight, validate_edge_weight};
 use qec_core::circuit::DetectorBasis;
 use qec_core::DetectorInfo;
@@ -143,13 +144,18 @@ pub struct DecodingGraph {
     /// basis (otherwise a single fault could cause an invisible logical
     /// error — a code-distance violation).
     undetectable_observable_flips: usize,
-    /// Per source mechanism (indexed like `DetectorErrorModel::mechanisms`):
-    /// the edge indices its projection landed on (one for elementary
-    /// mechanisms, several for decomposed hyperedges, none when invisible to
-    /// this basis). Together with `ErrorMechanism::sources` this maps fault
-    /// provenance to graph edges — the basis of exact heralded-erasure
-    /// lookups.
-    mechanism_edges: Vec<Vec<usize>>,
+    /// Provenance map as CSR (compressed rows), one row per source
+    /// mechanism (indexed like `DetectorErrorModel::mechanisms`): mechanism
+    /// `m`'s edges are
+    /// `mechanism_edge_ids[mechanism_edge_offsets[m]..mechanism_edge_offsets[m + 1]]`,
+    /// ascending — one for an elementary mechanism, several for a
+    /// decomposed hyperedge, none when the mechanism is invisible to this
+    /// basis. Together with `ErrorMechanism::sources` this maps fault
+    /// provenance to graph edges, the basis of exact heralded-erasure
+    /// lookups. Two flat columns instead of a `Vec` per mechanism keep the
+    /// graph build to a few allocations. Empty for window graphs.
+    mechanism_edge_offsets: Vec<u32>,
+    mechanism_edge_ids: Vec<usize>,
     /// Per node: the syndrome-extraction round of its detector (the final
     /// data-measurement detectors carry round = number of rounds). This is
     /// the round index the sliding-window machinery partitions on.
@@ -179,20 +185,23 @@ impl DecodingGraph {
             .collect();
         let boundary = num_nodes;
 
-        // First pass: project every mechanism; collect elementary (≤2 node)
-        // ones directly, defer larger ones for decomposition. Every
-        // mechanism's landing keys are recorded for the provenance map.
-        let mut edge_map: HashMap<(usize, usize), (f64, bool)> = HashMap::new();
-        let mut deferred: Vec<(usize, Vec<usize>, bool, f64)> = Vec::new();
-        let mut mechanism_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dem.mechanisms.len()];
+        // First pass: project every mechanism; merge elementary (≤2 node)
+        // ones directly, defer larger ones for decomposition. Each
+        // mechanism's landing edge slots are kept for the provenance map.
+        let mut acc = EdgeAccumulator::default();
+        let mut elementary_slot = vec![NO_SLOT; dem.mechanisms.len()];
+        let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut undetectable_observable_flips = 0;
         for (mi, mech) in dem.mechanisms.iter().enumerate() {
-            let nodes: Vec<usize> = mech
-                .detectors
-                .iter()
-                .filter_map(|&d| detector_to_node[d])
-                .collect();
-            match nodes.len() {
+            let mut nodes = [0usize; 2];
+            let mut count = 0;
+            for node in mech.detectors.iter().filter_map(|&d| detector_to_node[d]) {
+                if count < 2 {
+                    nodes[count] = node;
+                }
+                count += 1;
+            }
+            let key = match count {
                 0 => {
                     // Invisible to this basis (e.g. a Z error for the Z
                     // graph). A mechanism that flips the observable while
@@ -203,35 +212,49 @@ impl DecodingGraph {
                     if mech.flips_observable {
                         undetectable_observable_flips += 1;
                     }
+                    continue;
                 }
-                1 => {
-                    let key = (nodes[0], boundary);
-                    merge_edge(&mut edge_map, key, mech.probability, mech.flips_observable);
-                    mechanism_keys[mi].push(key);
+                1 => (nodes[0], boundary),
+                2 => ordered(nodes[0], nodes[1]),
+                _ => {
+                    let nodes = mech
+                        .detectors
+                        .iter()
+                        .filter_map(|&d| detector_to_node[d])
+                        .collect();
+                    deferred.push((mi, nodes));
+                    continue;
                 }
-                2 => {
-                    let key = ordered(nodes[0], nodes[1]);
-                    merge_edge(&mut edge_map, key, mech.probability, mech.flips_observable);
-                    mechanism_keys[mi].push(key);
-                }
-                _ => deferred.push((mi, nodes, mech.flips_observable, mech.probability)),
-            }
+            };
+            elementary_slot[mi] = acc.merge(key, mech.probability, mech.flips_observable) as u32;
         }
 
         // Second pass: decompose hyperedges into pairs of existing elementary
         // edges whose observable parities XOR to the mechanism's.
-        for (mi, mut nodes, obs, p) in deferred {
+        let mut deferred_slots: Vec<(usize, Vec<usize>)> = Vec::with_capacity(deferred.len());
+        for (mi, mut nodes) in deferred {
+            let mech = &dem.mechanisms[mi];
             nodes.sort_unstable();
-            let parts = decompose(&nodes, obs, boundary, &edge_map);
-            for (key, part_obs) in parts {
-                merge_edge(&mut edge_map, key, p, part_obs);
-                mechanism_keys[mi].push(key);
-            }
+            let parts = decompose(&nodes, mech.flips_observable, boundary, &acc);
+            let slots = parts
+                .into_iter()
+                .map(|(key, part_obs)| acc.merge(key, mech.probability, part_obs))
+                .collect();
+            deferred_slots.push((mi, slots));
         }
 
-        let mut edges: Vec<GraphEdge> = edge_map
-            .into_iter()
-            .map(|((a, b), (probability, flips_observable))| {
+        // Edges in `(a, b)` order; `edge_of_slot` maps first-seen slots to
+        // their final index.
+        let mut order: Vec<usize> = (0..acc.keys.len()).collect();
+        order.sort_unstable_by_key(|&slot| acc.keys[slot]);
+        let mut edge_of_slot = vec![0usize; order.len()];
+        let edges: Vec<GraphEdge> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &slot)| {
+                edge_of_slot[slot] = i;
+                let (a, b) = acc.keys[slot];
+                let probability = acc.probability[slot];
                 let p = probability.clamp(1e-12, 0.5 - 1e-9);
                 GraphEdge {
                     a,
@@ -241,30 +264,36 @@ impl DecodingGraph {
                     // dense (scaled f64 path sums) and sparse (summed scaled
                     // edges) blossom backends optimize the exact same metric.
                     weight: snap_weight(((1.0 - p) / p).ln().max(1e-4)),
-                    flips_observable,
+                    flips_observable: acc.parity[slot],
                 }
             })
             .collect();
-        edges.sort_by_key(|x| (x.a, x.b));
         for (i, e) in edges.iter().enumerate() {
             validate_edge_weight(i, e.weight);
         }
 
         let (offsets, edge_ids, arcs) = build_csr(num_nodes, &edges);
-        let key_to_edge: HashMap<(usize, usize), usize> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| ((e.a, e.b), i))
-            .collect();
-        let mechanism_edges = mechanism_keys
-            .into_iter()
-            .map(|keys| {
-                let mut out: Vec<usize> = keys.into_iter().map(|key| key_to_edge[&key]).collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
-            .collect();
+
+        // Provenance map as CSR, in mechanism order: an elementary
+        // mechanism's one edge, or a decomposed one's sorted, deduplicated
+        // parts.
+        let mut mechanism_edge_offsets = Vec::with_capacity(dem.mechanisms.len() + 1);
+        let mut mechanism_edge_ids = Vec::with_capacity(dem.mechanisms.len());
+        mechanism_edge_offsets.push(0u32);
+        let mut deferred_slots = deferred_slots.into_iter().peekable();
+        for (mi, &slot) in elementary_slot.iter().enumerate() {
+            if slot != NO_SLOT {
+                mechanism_edge_ids.push(edge_of_slot[slot as usize]);
+            } else if let Some((_, slots)) = deferred_slots.next_if(|&(m, _)| m == mi) {
+                let mut parts: Vec<usize> =
+                    slots.into_iter().map(|slot| edge_of_slot[slot]).collect();
+                parts.sort_unstable();
+                parts.dedup();
+                mechanism_edge_ids.extend(parts);
+            }
+            mechanism_edge_offsets
+                .push(u32::try_from(mechanism_edge_ids.len()).expect("provenance map exceeds u32"));
+        }
         DecodingGraph {
             num_nodes,
             edges,
@@ -274,7 +303,8 @@ impl DecodingGraph {
             node_to_detector,
             detector_to_node,
             undetectable_observable_flips,
-            mechanism_edges,
+            mechanism_edge_offsets,
+            mechanism_edge_ids,
             node_round,
         }
     }
@@ -305,7 +335,8 @@ impl DecodingGraph {
             node_to_detector: (0..num_nodes).collect(),
             detector_to_node: (0..num_nodes).map(Some).collect(),
             undetectable_observable_flips: 0,
-            mechanism_edges: Vec::new(),
+            mechanism_edge_offsets: Vec::new(),
+            mechanism_edge_ids: Vec::new(),
             node_round,
         }
     }
@@ -403,7 +434,11 @@ impl DecodingGraph {
     /// "this circuit location was faulty" (e.g. heralded leakage) into the
     /// exact erased-edge set.
     pub fn erasure_edges_for_mechanism(&self, mech: usize) -> &[usize] {
-        &self.mechanism_edges[mech]
+        let (start, end) = (
+            self.mechanism_edge_offsets[mech],
+            self.mechanism_edge_offsets[mech + 1],
+        );
+        &self.mechanism_edge_ids[start as usize..end as usize]
     }
 
     /// Extracts the defect node list from a global detector-event bitmap.
@@ -435,18 +470,43 @@ fn ordered(a: usize, b: usize) -> (usize, usize) {
     }
 }
 
-fn merge_edge(
-    map: &mut HashMap<(usize, usize), (f64, bool)>,
-    key: (usize, usize),
-    p: f64,
-    obs: bool,
-) {
-    let entry = map.entry(key).or_insert((0.0, obs));
-    entry.0 = combine_probability(entry.0, p);
-    // Parallel mechanisms with conflicting observable parity are dominated by
-    // the heavier one; in surface-code DEMs the parity always agrees, which
-    // the graph tests assert.
-    entry.1 = obs || entry.1;
+/// `elementary_slot` entry of a mechanism that did not land on one edge.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Edges in first-merged order (`slot`s), with their endpoints, XOR-merged
+/// probability and observable parity in parallel columns, indexed by
+/// endpoints through an Fx-hashed map.
+#[derive(Default)]
+struct EdgeAccumulator {
+    index: HashMap<(usize, usize), usize, FxBuildHasher>,
+    keys: Vec<(usize, usize)>,
+    probability: Vec<f64>,
+    parity: Vec<bool>,
+}
+
+impl EdgeAccumulator {
+    /// XOR-merges a mechanism of probability `p` and observable parity
+    /// `obs` into edge `key` and returns the edge's slot. Parallel
+    /// mechanisms' parities are ORed: the edge flips the observable if any
+    /// of them does. In surface-code DEMs they always agree, which
+    /// `parallel_mechanisms_agree_on_observable_parity` asserts.
+    fn merge(&mut self, key: (usize, usize), p: f64, obs: bool) -> usize {
+        let next = self.keys.len();
+        let slot = *self.index.entry(key).or_insert(next);
+        if slot == next {
+            self.keys.push(key);
+            self.probability.push(0.0);
+            self.parity.push(obs);
+        }
+        self.probability[slot] = combine_probability(self.probability[slot], p);
+        self.parity[slot] |= obs;
+        slot
+    }
+
+    /// The observable parity of edge `key`, if it exists.
+    fn parity_of(&self, key: (usize, usize)) -> Option<bool> {
+        self.index.get(&key).map(|&slot| self.parity[slot])
+    }
 }
 
 /// Splits a >2-node mechanism into pairs, preferring pairs that already exist
@@ -455,12 +515,12 @@ fn decompose(
     nodes: &[usize],
     obs: bool,
     boundary: usize,
-    edges: &HashMap<(usize, usize), (f64, bool)>,
+    edges: &EdgeAccumulator,
 ) -> Vec<((usize, usize), bool)> {
     // Try exact recursive pairing onto existing edges.
     fn recurse(
         remaining: &[usize],
-        edges: &HashMap<(usize, usize), (f64, bool)>,
+        edges: &EdgeAccumulator,
         acc: &mut Vec<(usize, usize)>,
     ) -> bool {
         if remaining.is_empty() {
@@ -470,7 +530,7 @@ fn decompose(
         for i in 1..remaining.len() {
             let partner = remaining[i];
             let key = ordered(first, partner);
-            if edges.contains_key(&key) {
+            if edges.parity_of(key).is_some() {
                 let rest: Vec<usize> = remaining
                     .iter()
                     .copied()
@@ -506,7 +566,7 @@ fn decompose(
     if obs {
         let idx = acc
             .iter()
-            .position(|k| edges.get(k).map(|&(_, o)| o).unwrap_or(false))
+            .position(|&k| edges.parity_of(k).unwrap_or(false))
             .unwrap_or(0);
         out[idx].1 = true;
     }
@@ -723,6 +783,54 @@ mod tests {
         assert_arcs_mirror_incident(&parts);
         for u in 0..=g.num_nodes() {
             assert_eq!(parts.incident(u), g.incident(u));
+        }
+    }
+
+    /// Parallel mechanisms merged onto one edge must agree on the
+    /// observable parity: `EdgeAccumulator::merge` ORs them, so a
+    /// disagreement would make the whole edge flip the observable however
+    /// unlikely the flipping mechanism is. Also asserts that surface-code DEMs have no >2-node
+    /// mechanisms in the memory basis, so no edge comes from decomposition.
+    #[test]
+    fn parallel_mechanisms_agree_on_observable_parity() {
+        use surface_code::MemoryBasis;
+        let noises = [
+            NoiseParams::standard(1e-3),
+            NoiseParams::exchange_transport(1e-3),
+            NoiseParams::without_leakage(1e-3),
+        ];
+        for noise in noises {
+            for d in [3, 5, 7, 9] {
+                for (memory, basis) in [
+                    (MemoryBasis::Z, DetectorBasis::Z),
+                    (MemoryBasis::X, DetectorBasis::X),
+                ] {
+                    let exp =
+                        MemoryExperiment::new_with_basis(RotatedCode::new(d), noise, d, memory);
+                    let detectors = exp.detectors();
+                    let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+                    let g = DecodingGraph::from_dem(&dem, &detectors, basis);
+                    for (mi, mech) in dem.mechanisms.iter().enumerate() {
+                        let nodes = mech
+                            .detectors
+                            .iter()
+                            .filter(|&&det| g.node_of_detector(det).is_some())
+                            .count();
+                        assert!(
+                            nodes <= 2,
+                            "d={d} {memory:?}: mechanism {mi} has {nodes} nodes"
+                        );
+                        for &ei in g.erasure_edges_for_mechanism(mi) {
+                            assert_eq!(
+                                g.edges()[ei].flips_observable,
+                                mech.flips_observable,
+                                "d={d} {memory:?} {:?}: mechanism {mi} on edge {ei}",
+                                noise.transport
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

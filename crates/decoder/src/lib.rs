@@ -90,6 +90,7 @@
 pub mod api;
 pub mod dem;
 pub mod fusion;
+mod fxhash;
 pub mod graph;
 pub mod greedy;
 pub mod matching;

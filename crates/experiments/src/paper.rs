@@ -1,5 +1,7 @@
 //! Reference values from the paper, printed beside measured results so
-//! paper-vs-measured comparison is immediate (EXPERIMENTS.md collects them).
+//! paper-vs-measured comparison is immediate: each figure command's table
+//! carries the paper's value in its own column or title (see the README's
+//! Quickstart for running them).
 
 /// Table 2: probability (%) of a leaked data qubit staying invisible for
 /// 0..=3 rounds.
