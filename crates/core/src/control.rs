@@ -18,10 +18,10 @@
 //!   spends a per-shot LRC quota where the estimator says leakage lives.
 //! * [`AdaptivePolicy`] — an [`LrcPolicy`] that runs a cheap base policy
 //!   in `Base` mode and a full ERASER+M instance in `Escalated` mode,
-//!   switching per round on the law's decision. In the 64-lane striped
-//!   runtime each lane carries its own controller; decisions surface as
+//!   switching per round on the law's decision. In the striped runtime
+//!   each lane (one shot) carries its own controller; decisions surface as
 //!   per-lane masks over the static `SlotTable` schedule, so the
-//!   bit-packed path never leaves its masked-op IR.
+//!   bit-packed shot loop never leaves its masked-op IR.
 //!
 //! [`LeakageProfile`] generalizes the leakage-storm test scenario into a
 //! first-class noise schedule (stationary, bursts, ramps) injected by the
@@ -42,7 +42,7 @@ pub const Q16_ONE: u32 = 1 << 16;
 /// data qubit, on top of whatever the noise model already produces. This is
 /// the `leakage_storm_recovery` scenario promoted to a first-class knob:
 /// the runner applies `LeakInject` with the profile's rate at the top of
-/// each round, identically in the scalar and striped paths.
+/// each round, drawing from each shot's own physics stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum LeakageProfile {
     /// No injected leakage beyond the noise model (the default).

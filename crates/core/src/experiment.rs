@@ -781,9 +781,8 @@ impl ExperimentBuilder {
     }
 
     /// Shots simulated per word-parallel stripe (1..=64). The default 0
-    /// resolves at run time: the `ERASER_STRIPE` environment variable if
-    /// set, else the full 64-lane stripe. Width 1 selects the scalar
-    /// reference path; results are bit-identical for every width.
+    /// means the full 64-lane stripe. Every width runs the same shot loop
+    /// and gives bit-identical results; only wall-clock time changes.
     pub fn stripe_width(mut self, width: usize) -> Self {
         self.stripe_width = width;
         self
@@ -830,7 +829,7 @@ impl ExperimentBuilder {
 
     /// Time-varying injected-leakage schedule (default
     /// [`LeakageProfile::Stationary`]: nothing injected). Validated at
-    /// build time; applied identically on the scalar and striped paths.
+    /// build time; every shot draws it from its own physics stream.
     pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
         self.profile = profile;
         self
@@ -1254,7 +1253,7 @@ impl SweepBuilder {
     }
 
     /// Shots simulated per word-parallel stripe for every grid point
-    /// (1..=64; 0 resolves at run time).
+    /// (1..=64; 0 means the full 64-lane stripe).
     pub fn stripe_width(mut self, width: usize) -> Self {
         self.stripe_width = width;
         self

@@ -15,9 +15,8 @@
 //! schedule (`surface_code::MaskedRound`) whose dynamic LRC decisions are
 //! resolved each round into per-slot lane masks by the [`StripedPolicy`]
 //! layer; the stripe's defect/erasure sets then feed the decoder as one
-//! `decode_batch` call. [`RunConfig::stripe_width`] (or the `ERASER_STRIPE`
-//! environment variable) selects the width; width 1 runs the scalar
-//! reference path, and results are bit-identical at every width — exactly
+//! `decode_batch` call. [`RunConfig::stripe_width`] selects the width, down
+//! to one-lane stripes; results are bit-identical at every width — exactly
 //! like the worker-thread count, striping is a pure wall-clock knob.
 //!
 //! Decoding has two paths. **Monolithic** (the default, auto-selected when
@@ -46,8 +45,8 @@
 
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, ExperimentKey};
 use crate::control::{parse_control_env, ControllerConfig, ControllerStats, LeakageProfile};
-use crate::policy::{LrcPolicy, RoundContext, StripeRoundContext, StripedPolicy};
-use leak_sim::{BatchFrameSimulator, Discriminator, FrameSimulator, STRIPE_WIDTH};
+use crate::policy::{LrcPolicy, StripeRoundContext, StripedPolicy};
+use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
@@ -57,10 +56,7 @@ use qec_decoder::{
     UnionFindCapacities, UnionFindFactory, WindowBackend, WindowPlan, WindowedDecoder,
 };
 use std::sync::Arc;
-use surface_code::{
-    LrcAssignment, MaskedRound, MemoryBasis, MemoryExperiment, RotatedCode, SlotTable,
-    SyndromeRound,
-};
+use surface_code::{MaskedRound, MemoryBasis, MemoryExperiment, RotatedCode, SlotTable};
 
 /// Which leakage-removal protocol the scheduled pairs execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -236,10 +232,10 @@ pub struct RunConfig {
     /// Erasure-aware decoding: thread the policy's leakage-detection flags
     /// into the decoder as dynamically reweighted (erased) edges.
     pub erasure: ErasureDetection,
-    /// Shots simulated per word-parallel stripe (1..=64); 0 means the
-    /// `ERASER_STRIPE` environment variable if set, else the full 64-lane
-    /// stripe. Width 1 runs the scalar reference path; results are
-    /// bit-identical for every width (shots own their RNG streams).
+    /// Shots simulated per word-parallel stripe (1..=64); 0 means the full
+    /// 64-lane stripe. Width 1 runs one-lane stripes through the same shot
+    /// loop; results are bit-identical for every width (shots own their RNG
+    /// streams), so the width only changes wall-clock time.
     pub stripe_width: usize,
     /// Sliding-window length in rounds for streaming decoding; 0 means the
     /// `ERASER_WINDOW` environment variable if set, else monolithic
@@ -267,8 +263,8 @@ pub struct RunConfig {
     pub controller: Option<ControllerConfig>,
     /// Time-varying injected-leakage schedule (bursts, ramps). The runner
     /// applies the profile's per-round rate as an extra `LeakInject` on
-    /// every data qubit at the top of each round, identically on the
-    /// scalar and striped paths. [`LeakageProfile::Stationary`] (the
+    /// every data qubit at the top of each round, drawn from each shot's
+    /// own physics stream. [`LeakageProfile::Stationary`] (the
     /// default) injects nothing.
     pub profile: LeakageProfile,
     /// Tiered sparse-syndrome fast path in front of every decode (tier 0
@@ -302,13 +298,12 @@ impl Default for RunConfig {
 
 /// A malformed `ERASER_*` environment override.
 ///
-/// The `ERASER_THREADS` / `ERASER_STRIPE` / `ERASER_WINDOW` hooks used to
-/// be resolved with `.parse().ok()`, so a typo (`ERASER_THREADS=fuor`)
-/// silently fell back to the default — the worst failure mode for a knob
-/// whose whole job is reproducing a specific configuration. Malformed
-/// values now surface as this error: the `Experiment`/`Sweep` builders
-/// return it at build time, and the low-level [`MemoryRunner::run`] path
-/// panics with its message.
+/// The `ERASER_THREADS` / `ERASER_WINDOW` hooks used to be resolved with
+/// `.parse().ok()`, so a typo (`ERASER_THREADS=fuor`) silently fell back
+/// to the default — the worst failure mode for a knob whose whole job is
+/// reproducing a specific configuration. Malformed values now surface as
+/// this error: the `Experiment`/`Sweep` builders return it at build time,
+/// and the low-level [`MemoryRunner::run`] path panics with its message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvOverrideError {
     /// The environment variable that failed to parse.
@@ -360,12 +355,6 @@ pub(crate) fn parse_env_override<T>(
 /// mean "no override".
 pub fn parse_threads_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
     parse_env_override("ERASER_THREADS", raw, parse_positive)
-}
-
-/// Parses an `ERASER_STRIPE` value: a positive integer (clamped to the
-/// 64-lane stripe width at resolution time). Empty counts as unset.
-pub fn parse_stripe_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_env_override("ERASER_STRIPE", raw, parse_positive)
 }
 
 /// Parses an `ERASER_FUSION` value: a positive intra-shot fusion thread
@@ -490,23 +479,13 @@ impl RunConfig {
     }
 
     /// The stripe width this configuration resolves to: `stripe_width`
-    /// itself; else the `ERASER_STRIPE` environment variable (the CI test
-    /// matrix's hook); else the full 64-lane stripe. Clamped to 1..=64.
-    /// Results are bit-identical for any resolution — this only affects
-    /// wall-clock time. A malformed override is an error, never a silent
-    /// default.
-    pub fn resolved_stripe_width(&self) -> Result<usize, EnvOverrideError> {
-        let width = if self.stripe_width != 0 {
-            self.stripe_width
-        } else if let Some(w) = match std::env::var("ERASER_STRIPE") {
-            Ok(raw) => parse_stripe_env(&raw)?,
-            Err(_) => None,
-        } {
-            w
-        } else {
-            STRIPE_WIDTH
-        };
-        Ok(width.clamp(1, STRIPE_WIDTH))
+    /// clamped to 1..=64, with 0 meaning the full 64-lane stripe. Results
+    /// are bit-identical for any width — this only affects wall-clock time.
+    pub fn resolved_stripe_width(&self) -> usize {
+        match self.stripe_width {
+            0 => STRIPE_WIDTH,
+            w => w.min(STRIPE_WIDTH),
+        }
     }
 
     /// The intra-shot fusion thread count this configuration resolves to:
@@ -568,7 +547,6 @@ impl RunConfig {
         self.resolved_threads()?;
         self.resolved_window()?;
         self.resolved_decoder()?;
-        self.resolved_stripe_width()?;
         self.resolved_fusion()?;
         self.resolved_controller()?;
         self.resolved_predecode()?;
@@ -1263,20 +1241,9 @@ impl MemoryRunner {
     }
 
     /// Collects detector round `round`'s fired defects (graph node ids,
-    /// ascending) from a scalar simulator's record — the streaming path's
-    /// per-round read.
-    fn gather_round_defects(&self, sim: &FrameSimulator, round: usize, out: &mut Vec<usize>) {
-        out.clear();
-        for &(di, node) in &self.detector_nodes_by_round[round] {
-            if sim.record().parity(&self.detectors[di as usize].keys) {
-                out.push(node as usize);
-            }
-        }
-    }
-
-    /// The word-parallel analogue of [`MemoryRunner::gather_round_defects`]:
-    /// one parity word per detector of the round, scattered into each active
-    /// lane's defect list (ascending node order preserved).
+    /// ascending) for every active lane — the streaming path's per-round
+    /// read: one parity word per detector of the round, scattered into each
+    /// lane's defect list.
     fn gather_round_defect_lanes(
         &self,
         sim: &BatchFrameSimulator,
@@ -1562,36 +1529,29 @@ impl MemoryRunner {
             first += count;
         }
 
-        let width = config
-            .resolved_stripe_width()
+        let width = config.resolved_stripe_width();
+        // The tiered predecoder fronts every decode (bit-identical either
+        // way); resolved here so a malformed `ERASER_PREDECODE` panics on
+        // the calling thread, never inside a worker.
+        let predecode = config
+            .resolved_predecode()
             .unwrap_or_else(|e| panic!("{e}"));
         let partials: Vec<PartialStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
                 .into_iter()
                 .map(|(first, count)| {
                     scope.spawn(move || {
-                        if width == 1 {
-                            self.run_shots_scalar(
-                                first,
-                                count,
-                                policy_factory,
-                                factory,
-                                plan,
-                                fused,
-                                config,
-                            )
-                        } else {
-                            self.run_stripes(
-                                first,
-                                count,
-                                width,
-                                policy_factory,
-                                factory,
-                                plan,
-                                fused,
-                                config,
-                            )
-                        }
+                        self.run_stripes(
+                            first,
+                            count,
+                            width,
+                            predecode,
+                            policy_factory,
+                            factory,
+                            plan,
+                            fused,
+                            config,
+                        )
                     })
                 })
                 .collect();
@@ -1667,321 +1627,6 @@ impl MemoryRunner {
         }
     }
 
-    /// The scalar reference path (stripe width 1): one shot at a time on
-    /// the scalar [`FrameSimulator`]. The striped path must stay
-    /// bit-identical to this, shot for shot.
-    #[allow(clippy::too_many_arguments)]
-    fn run_shots_scalar(
-        &self,
-        first_shot: u64,
-        shots: u64,
-        policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
-        factory: Option<&dyn DecoderFactory>,
-        plan: Option<&WindowPlan>,
-        fused: Option<&FusionPlan>,
-        config: &RunConfig,
-    ) -> PartialStats {
-        let code = self.exp.code();
-        let keys = self.exp.keys();
-        let rounds = self.exp.rounds();
-        let builder = self.exp.round_builder();
-        let num_data = code.num_data();
-        let num_stabs = code.num_stabs();
-
-        // Per-thread decoder instance: mutable, with scratch buffers reused
-        // across every shot this worker decodes. Exactly one of `decoder`
-        // (monolithic) and `streaming` (sliding-window) is live on
-        // decode-enabled runs. Both are fronted by the tiered predecoder
-        // (bit-identical either way; env validated upstream, so a malformed
-        // `ERASER_PREDECODE` here can only panic, never silently default).
-        let predecode = config
-            .resolved_predecode()
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut decoder = factory.map(|f| TieredDecoder::with_enabled(f.build(), predecode));
-        let mut streaming: Option<ShotStream> = match (fused, plan) {
-            (Some(f), _) => Some(ShotStream::Fused(FusionDecoder::new(
-                f,
-                Arc::new(FusionPool::new(f.threads())),
-            ))),
-            (None, Some(p)) => Some(ShotStream::Windowed(p.streaming())),
-            (None, None) => None,
-        };
-        if let Some(stream) = streaming.as_mut() {
-            stream.set_predecode(predecode);
-        }
-        let erasure_active = config.erasure.enabled && (decoder.is_some() || streaming.is_some());
-        let mut policy = policy_factory(code);
-        let discriminator = if policy.uses_multilevel() {
-            Discriminator::MultiLevel
-        } else {
-            Discriminator::TwoLevel
-        };
-        let mut sim = FrameSimulator::new(
-            code.num_qubits(),
-            keys.total(),
-            *self.exp.noise(),
-            discriminator,
-            Rng::new(0), // reseeded per shot below
-        );
-
-        let mut stats = PartialStats {
-            lpr_data_sum: vec![0.0; rounds],
-            lpr_parity_sum: vec![0.0; rounds],
-            ..PartialStats::default()
-        };
-        let mut prev_syndrome = vec![false; num_stabs];
-        let mut events = vec![false; num_stabs];
-        let mut leaked_readouts = vec![false; num_stabs];
-        let mut oracle = vec![false; num_data];
-        let mut det_events = vec![false; self.detectors.len()];
-        let mut syndrome = Syndrome::build(Vec::new()).rounds(rounds).finish();
-        // Streaming-path scratch: the current round's defects / erasure
-        // edges, plus the shot-level erasure log (kept only to report
-        // `total_erasures` with the monolithic dedup-per-shot semantics).
-        let mut round_defects: Vec<usize> = Vec::new();
-        let mut round_erasures: Vec<usize> = Vec::new();
-        let mut erasure_log: Vec<usize> = Vec::new();
-
-        for shot in first_shot..first_shot + shots {
-            // The shot's stream splits in two: the simulator's physics and
-            // the (independent) detection-noise stream, so erasure-aware and
-            // leakage-blind runs decode identical error realizations.
-            let mut det_rng = shot_rng(config.seed, shot);
-            sim.reseed(det_rng.fork());
-            sim.reset_shot();
-            policy.reset_shot();
-            syndrome.clear();
-            erasure_log.clear();
-            if let Some(stream) = streaming.as_mut() {
-                stream.begin_shot();
-            }
-            sim.run(&self.init_segment);
-            prev_syndrome.fill(false);
-            events.fill(false);
-            leaked_readouts.fill(false);
-            let mut last_lrcs: Vec<LrcAssignment> = Vec::new();
-            // Offline post-selection flag: leakage-like syndrome pattern seen
-            // anywhere in the shot's history.
-            let mut suspect = false;
-
-            for r in 0..rounds {
-                // Time-varying injected leakage (the profile schedule),
-                // applied before the oracle snapshot so even the idealized
-                // policy sees the storm the round it lands. The striped path
-                // injects identically (same qubit order, same draws).
-                let extra = config.profile.extra_leak_p(r);
-                if extra > 0.0 {
-                    for q in 0..num_data {
-                        sim.run(&[Op::LeakInject { qubit: q, p: extra }]);
-                    }
-                }
-                for (q, slot) in oracle.iter_mut().enumerate() {
-                    *slot = sim.is_leaked(q);
-                }
-                let mut plan = policy.plan_round(&RoundContext {
-                    round: r,
-                    events: &events,
-                    leaked_readouts: &leaked_readouts,
-                    oracle_leaked_data: &oracle,
-                    last_lrcs: &last_lrcs,
-                });
-                // Canonical (data, stab) order: the striped path executes
-                // LRC slots in this order, so the scalar reference must
-                // build (and draw randomness for) its rounds the same way.
-                plan.sort_unstable_by_key(|l| (l.data, l.stab));
-                // Confusion matrix against ground truth at planning time.
-                let mut planned = vec![false; num_data];
-                for lrc in &plan {
-                    planned[lrc.data] = true;
-                }
-                for q in 0..num_data {
-                    match (planned[q], oracle[q]) {
-                        (true, true) => stats.speculation.true_positive += 1,
-                        (true, false) => stats.speculation.false_positive += 1,
-                        (false, true) => stats.speculation.false_negative += 1,
-                        (false, false) => stats.speculation.true_negative += 1,
-                    }
-                }
-                stats.total_lrcs += plan.len() as u64;
-
-                round_erasures.clear();
-                if erasure_active {
-                    if let Some(det) = policy.leakage_detections() {
-                        let fp = config.erasure.false_positive;
-                        let fnr = config.erasure.false_negative;
-                        // Every flag erases the provenance bucket of the
-                        // flagged qubit over its believed-leaked window:
-                        // data flags cover the evidence round and the
-                        // current one; a returned qubit's random state
-                        // shows up in the same window; a parity |L⟩ readout
-                        // pins the (reset-bounded) leak to the previous
-                        // round alone.
-                        for (q, &flag) in det.data.iter().enumerate() {
-                            let reported = if flag {
-                                !det_rng.bernoulli(fnr)
-                            } else {
-                                det_rng.bernoulli(fp)
-                            };
-                            if reported {
-                                self.extend_qubit_erasures(
-                                    r.saturating_sub(1)..=r,
-                                    q,
-                                    &mut round_erasures,
-                                );
-                            }
-                        }
-                        // No false-positive synthesis here: a clean data
-                        // qubit already took its one per-round FP draw in
-                        // the `data` loop above; drawing again would double
-                        // the effective FP rate versus the documented model.
-                        for (q, &flag) in det.data_returned.iter().enumerate() {
-                            if flag && !det_rng.bernoulli(fnr) {
-                                self.extend_qubit_erasures(
-                                    r.saturating_sub(2)..=r,
-                                    q,
-                                    &mut round_erasures,
-                                );
-                            }
-                        }
-                        for (s, &flag) in det.parity.iter().enumerate() {
-                            let reported = if flag {
-                                !det_rng.bernoulli(fnr)
-                            } else {
-                                det_rng.bernoulli(fp)
-                            };
-                            if reported && r > 0 {
-                                let parity = code.parity_qubit(s);
-                                self.extend_qubit_erasures(
-                                    r - 1..=r - 1,
-                                    parity,
-                                    &mut round_erasures,
-                                );
-                            }
-                        }
-                        if streaming.is_some() {
-                            erasure_log.extend_from_slice(&round_erasures);
-                        } else {
-                            syndrome.erasures.extend_from_slice(&round_erasures);
-                        }
-                    }
-                }
-
-                let round_circ: SyndromeRound = match config.protocol {
-                    LrcProtocol::Swap => builder.round(r, &plan, keys),
-                    LrcProtocol::Dqlr => builder.dqlr_round(r, &plan, keys),
-                };
-                sim.run(&round_circ.pre);
-                // LPR probe: after the entangling layers, before readout
-                // (captures leakage accumulated during the round).
-                stats.lpr_data_sum[r] += sim.leaked_count_in(0..num_data) as f64;
-                stats.lpr_parity_sum[r] += sim.leaked_count_in(num_data..code.num_qubits()) as f64;
-                sim.run(&round_circ.measure);
-                sim.run(&round_circ.mr_reset);
-                for tail in &round_circ.lrc_post {
-                    if policy.uses_multilevel() && sim.record().label(tail.data_key).is_leaked() {
-                        // §4.6.2: the SWAP failed; reset P, squash swap-back.
-                        sim.run(&tail.leak_path);
-                    } else {
-                        sim.run(&tail.swap_back);
-                    }
-                }
-                sim.run(&round_circ.post);
-
-                for s in 0..num_stabs {
-                    let key = keys.stab_key(r, s);
-                    let flip = sim.record().flip(key);
-                    events[s] = if r == 0 {
-                        // Round 0: memory-basis stabilizers are deterministic;
-                        // the other basis has a random reference and produces
-                        // no event yet.
-                        self.stab_deterministic_round0[s] && flip
-                    } else {
-                        flip ^ prev_syndrome[s]
-                    };
-                    prev_syndrome[s] = flip;
-                    leaked_readouts[s] = sim.record().label(key).is_leaked();
-                }
-                if !suspect {
-                    // The LSB rule applied offline: at least half of some data
-                    // qubit's neighbouring checks fired this round.
-                    suspect = (0..num_data).any(|q| {
-                        let adj = code.adjacent_stabs(q);
-                        let flips = adj.iter().filter(|&&s| events[s]).count();
-                        flips >= adj.len().div_ceil(2)
-                    });
-                }
-                if let Some(stream) = streaming.as_mut() {
-                    // Detector round r is fully measured now: stream its
-                    // defects (and this round's erasure flags) into the
-                    // windowed decoder, which retires any window whose last
-                    // round just arrived.
-                    self.gather_round_defects(&sim, r, &mut round_defects);
-                    stream.push_round(&round_defects, &round_erasures);
-                }
-                last_lrcs = plan;
-            }
-            sim.run(&self.final_segment);
-
-            if suspect {
-                stats.postselection.flagged_shots += 1;
-            }
-            if let Some(decoder) = decoder.as_mut() {
-                for (i, det) in self.detectors.iter().enumerate() {
-                    det_events[i] = sim.record().parity(&det.keys);
-                }
-                self.graph
-                    .defects_from_events_into(&det_events, &mut syndrome.defects);
-                // Adjacent flagged qubits share checks, and flags persist
-                // across rounds: deduplicate the collected erasure edges.
-                syndrome.erasures.sort_unstable();
-                syndrome.erasures.dedup();
-                stats.total_erasures += syndrome.erasures.len() as u64;
-                let outcome = decoder.decode_syndrome(&syndrome);
-                stats.decode_latency.record(outcome.nanos, rounds + 1);
-                let actual = sim.record().parity(&self.observable);
-                if outcome.flip != actual {
-                    stats.logical_errors += 1;
-                    if !suspect {
-                        stats.postselection.errors_on_kept += 1;
-                    }
-                }
-            } else if let Some(stream) = streaming.as_mut() {
-                // The final transversal detectors (round = rounds) complete
-                // with the final segment; pushing them retires the last
-                // window and seals the shot.
-                self.gather_round_defects(&sim, rounds, &mut round_defects);
-                stream.push_round(&round_defects, &[]);
-                let outcome = stream.finish();
-                for &(nanos, committed) in stream.latencies() {
-                    stats.decode_latency.record(nanos, committed as usize);
-                }
-                erasure_log.sort_unstable();
-                erasure_log.dedup();
-                stats.total_erasures += erasure_log.len() as u64;
-                let actual = sim.record().parity(&self.observable);
-                if outcome.flip != actual {
-                    stats.logical_errors += 1;
-                    if !suspect {
-                        stats.postselection.errors_on_kept += 1;
-                    }
-                }
-            }
-        }
-        // Controller telemetry accumulates across this worker's shots;
-        // harvest it once (sum/max merge makes the order irrelevant). Same
-        // for the predecoder's tier counters.
-        if let Some(controller) = policy.controller() {
-            stats.controller.merge(controller);
-        }
-        if let Some(decoder) = decoder.as_ref() {
-            stats.predecode.merge(decoder.counters());
-        }
-        if let Some(stream) = streaming.as_ref() {
-            stats.predecode.merge(&stream.tier_counters());
-        }
-        stats
-    }
-
     /// Executes one segment of a static round schedule on the stripe,
     /// resolving each op's condition to a lane mask. `key_offset` rebases
     /// the schedule's round-0 measurement keys onto the current round.
@@ -2024,17 +1669,19 @@ impl MemoryRunner {
         }
     }
 
-    /// The word-parallel path: up to 64 shots per stripe on the
+    /// The shot loop: up to `width` shots per stripe on the
     /// [`BatchFrameSimulator`], with one static schedule per round executed
     /// under the policy layer's per-slot lane masks, and the stripe's
     /// defect/erasure sets fed to the decoder as one `decode_batch` call.
-    /// Bit-identical to [`MemoryRunner::run_shots_scalar`], shot for shot.
+    /// Every shot owns its RNG streams, so results are bit-identical at any
+    /// width, 1 included.
     #[allow(clippy::too_many_arguments)]
     fn run_stripes(
         &self,
         first_shot: u64,
         shots: u64,
         width: usize,
+        predecode: bool,
         policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
         factory: Option<&dyn DecoderFactory>,
         plan: Option<&WindowPlan>,
@@ -2052,9 +1699,6 @@ impl MemoryRunner {
             LrcProtocol::Dqlr => &self.masked_dqlr,
         };
 
-        let predecode = config
-            .resolved_predecode()
-            .unwrap_or_else(|e| panic!("{e}"));
         let mut decoder = factory.map(|f| TieredDecoder::with_enabled(f.build(), predecode));
         // One streaming decoder per lane: each lane is its own shot, so each
         // needs its own streaming state (the expensive tables stay shared
@@ -2119,9 +1763,11 @@ impl MemoryRunner {
         let mut shot = first_shot;
         while shot < end {
             let lanes = width.min((end - shot) as usize);
-            // Lane l carries global shot `shot + l`, with exactly the
-            // per-shot streams the scalar path derives: the detection
-            // stream and its fork for the simulator physics.
+            // Lane l carries global shot `shot + l` and that shot's own two
+            // streams: the detection-noise stream and its fork for the
+            // simulator physics. Erasure-aware and leakage-blind runs thus
+            // decode identical error realizations, and no lane's draws
+            // depend on the stripe width or the worker split.
             sim_rngs.clear();
             det_rngs.clear();
             for l in 0..lanes as u64 {
@@ -2149,9 +1795,10 @@ impl MemoryRunner {
             let mut suspect = 0u64;
 
             for r in 0..rounds {
-                // Time-varying injected leakage, mirroring the scalar path:
-                // same qubit order, and per-active-lane draws line up with
-                // each lane's scalar physics stream.
+                // Time-varying injected leakage (the profile schedule),
+                // applied before the oracle snapshot so even the idealized
+                // policy sees the storm the round it lands; each active lane
+                // draws from its own physics stream.
                 let extra = config.profile.extra_leak_p(r);
                 if extra > 0.0 {
                     for q in 0..num_data {
@@ -2193,9 +1840,14 @@ impl MemoryRunner {
                     buffer.clear();
                 }
                 if erasure_active {
-                    // Per-lane detection noise, drawing each lane's stream
-                    // in exactly the scalar order (data, data_returned,
-                    // parity loops per round).
+                    // Per-lane detection noise from each lane's own stream,
+                    // in a fixed order per round (data, data_returned,
+                    // parity). Every flag erases the provenance bucket of
+                    // the flagged qubit over its believed-leaked window:
+                    // data flags cover the evidence round and the current
+                    // one; a returned qubit's random state shows up in the
+                    // same window; a parity |L⟩ readout pins the
+                    // (reset-bounded) leak to the previous round alone.
                     let fp = config.erasure.false_positive;
                     let fnr = config.erasure.false_negative;
                     for lane in 0..lanes {
@@ -2214,6 +1866,10 @@ impl MemoryRunner {
                                 self.extend_qubit_erasures(r.saturating_sub(1)..=r, q, erasures);
                             }
                         }
+                        // No false-positive synthesis here: a clean data
+                        // qubit already took its one per-round FP draw in
+                        // the `data` loop above; drawing again would double
+                        // the effective FP rate versus the documented model.
                         for (q, &flag) in det.data_returned.iter().enumerate() {
                             if flag && !det_rng.bernoulli(fnr) {
                                 self.extend_qubit_erasures(r.saturating_sub(2)..=r, q, erasures);
@@ -2294,6 +1950,9 @@ impl MemoryRunner {
                 for s in 0..num_stabs {
                     let flip = sim.record().flip_word(key_offset + s);
                     events[s] = if r == 0 {
+                        // Round 0: memory-basis stabilizers are deterministic;
+                        // the other basis has a random reference and produces
+                        // no event yet.
                         if self.stab_deterministic_round0[s] {
                             flip
                         } else {
@@ -2316,6 +1975,10 @@ impl MemoryRunner {
                     suspect &= active;
                 }
                 if !streams.is_empty() {
+                    // Detector round r is fully measured now: stream each
+                    // lane's defects (and this round's erasure flags) into
+                    // its windowed decoder, which retires any window whose
+                    // last round just arrived.
                     self.gather_round_defect_lanes(&sim, r, active, lanes, &mut lane_round_defects);
                     for lane in 0..lanes {
                         streams[lane]
@@ -2338,6 +2001,8 @@ impl MemoryRunner {
                     }
                     self.graph
                         .defects_from_events_into(&det_events, &mut syndrome.defects);
+                    // Adjacent flagged qubits share checks, and flags persist
+                    // across rounds: deduplicate the collected erasure edges.
                     syndrome.erasures.sort_unstable();
                     syndrome.erasures.dedup();
                     stats.total_erasures += syndrome.erasures.len() as u64;
@@ -2662,7 +2327,7 @@ mod tests {
     }
 
     /// Table-driven coverage of every `ERASER_*` override parser. All
-    /// seven route through the shared [`parse_env_override`] envelope, and
+    /// six route through the shared [`parse_env_override`] envelope, and
     /// this single test pins the shared contract: valid values parse,
     /// empty/whitespace means unset, and malformed values are a *clear
     /// error* naming the variable and the reason — never a silent default
@@ -2708,7 +2373,6 @@ mod tests {
         ];
         for (raw, expected) in int_cases {
             check("ERASER_THREADS", raw, parse_threads_env(raw), expected);
-            check("ERASER_STRIPE", raw, parse_stripe_env(raw), expected);
             check("ERASER_FUSION", raw, parse_fusion_env(raw), expected);
         }
 
@@ -2835,7 +2499,7 @@ mod tests {
         };
         assert_eq!(config.resolved_threads().unwrap(), 3);
         assert_eq!(
-            config.resolved_stripe_width().unwrap(),
+            config.resolved_stripe_width(),
             STRIPE_WIDTH,
             "stripe clamps to the 64-lane word"
         );
@@ -2968,8 +2632,8 @@ mod tests {
 
     /// Intra-shot fusion is a pure wall-clock knob at the run level too:
     /// every statistic of a fused run — logical errors included — matches
-    /// the sequential windowed run bit-for-bit at every thread count, on
-    /// both the scalar and striped paths, with erasures in play.
+    /// the sequential windowed run bit-for-bit at every thread count and
+    /// stripe width, with erasures in play.
     #[test]
     fn fused_runs_match_sequential_windowed_bitwise() {
         let runner = MemoryRunner::new(3, NoiseParams::standard(3e-3), 12);

@@ -90,13 +90,8 @@ pub struct FrameSimulator {
     num_qubits: usize,
     x: Vec<bool>,
     z: Vec<bool>,
-    /// Leak flags, bit-packed 64 qubits per word. The packed layout turns
-    /// the per-round LPR probe ([`FrameSimulator::leaked_count_in`]) into a
-    /// handful of masked popcounts instead of an O(n) bool rescan.
+    /// Leak flags, bit-packed 64 qubits per word.
     leaked: Vec<u64>,
-    /// Running number of set bits in `leaked`, maintained by every leak
-    /// transition so [`FrameSimulator::leaked_count`] is O(1).
-    leaked_count: usize,
     noise: NoiseParams,
     discriminator: Discriminator,
     rng: Rng,
@@ -118,7 +113,6 @@ impl FrameSimulator {
             x: vec![false; num_qubits],
             z: vec![false; num_qubits],
             leaked: vec![0; num_qubits.div_ceil(64)],
-            leaked_count: 0,
             noise,
             discriminator,
             rng,
@@ -128,20 +122,12 @@ impl FrameSimulator {
 
     #[inline]
     fn set_leak(&mut self, q: QubitId) {
-        let (w, b) = (q / 64, 1u64 << (q % 64));
-        if self.leaked[w] & b == 0 {
-            self.leaked[w] |= b;
-            self.leaked_count += 1;
-        }
+        self.leaked[q / 64] |= 1u64 << (q % 64);
     }
 
     #[inline]
     fn clear_leak(&mut self, q: QubitId) {
-        let (w, b) = (q / 64, 1u64 << (q % 64));
-        if self.leaked[w] & b != 0 {
-            self.leaked[w] &= !b;
-            self.leaked_count -= 1;
-        }
+        self.leaked[q / 64] &= !(1u64 << (q % 64));
     }
 
     /// Clears frames, leakage flags, and the measurement record for a new
@@ -151,15 +137,7 @@ impl FrameSimulator {
         self.x.fill(false);
         self.z.fill(false);
         self.leaked.fill(0);
-        self.leaked_count = 0;
         self.record.clear();
-    }
-
-    /// Replaces the RNG stream. The thread-invariant runtime gives every
-    /// shot its own stream (a pure function of root seed and shot index), so
-    /// results do not depend on how shots are partitioned across workers.
-    pub fn reseed(&mut self, rng: Rng) {
-        self.rng = rng;
     }
 
     /// Number of qubits.
@@ -176,34 +154,6 @@ impl FrameSimulator {
     #[inline]
     pub fn is_leaked(&self, q: QubitId) -> bool {
         self.leaked[q / 64] >> (q % 64) & 1 != 0
-    }
-
-    /// Total number of currently leaked qubits (O(1): maintained as a
-    /// running count across every leak transition).
-    pub fn leaked_count(&self) -> usize {
-        self.leaked_count
-    }
-
-    /// Number of currently leaked qubits among `qubits`. Masked popcounts
-    /// over the packed leak words — O(n/64), not an O(n) rescan; this sits
-    /// on the per-round LPR probe path of every memory experiment.
-    pub fn leaked_count_in(&self, qubits: std::ops::Range<usize>) -> usize {
-        let (start, end) = (qubits.start, qubits.end.min(self.num_qubits));
-        if start >= end {
-            return 0;
-        }
-        let (first, last) = (start / 64, (end - 1) / 64);
-        let lo = !0u64 << (start % 64);
-        let hi = !0u64 >> (63 - (end - 1) % 64);
-        if first == last {
-            return (self.leaked[first] & lo & hi).count_ones() as usize;
-        }
-        let mut count = (self.leaked[first] & lo).count_ones();
-        for w in &self.leaked[first + 1..last] {
-            count += w.count_ones();
-        }
-        count += (self.leaked[last] & hi).count_ones();
-        count as usize
     }
 
     /// The noise model in force.

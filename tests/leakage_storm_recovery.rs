@@ -4,9 +4,10 @@
 //! the end-to-end version of the paper's "real-time leakage suppression"
 //! claim, plus the adaptive controller's escalate-then-recover telemetry.
 //!
-//! These tests run whatever `ERASER_STRIPE` / `ERASER_THREADS` the CI
-//! matrix sets: the assertions are on physics the stripe width and thread
-//! count must not change.
+//! These tests run at the default 64-lane stripe width and whatever
+//! `ERASER_THREADS` the CI matrix sets: the assertions are on physics the
+//! stripe width and thread count must not change.
+//! `storm_recovery_is_stripe_invariant` pins widths 1 and 64 explicitly.
 
 use eraser_repro::eraser_core::runtime::MemoryRunResult;
 use eraser_repro::eraser_core::{ControlLawKind, Experiment, LeakageProfile, PolicyKind};
@@ -114,7 +115,7 @@ fn adaptive_controller_escalates_on_the_burst_and_recovers() {
 
 #[test]
 fn storm_recovery_is_stripe_invariant() {
-    // The same storm, scalar vs 64-lane striped, must agree bit for bit —
+    // The same storm, one-lane vs 64-lane stripes, must agree bit for bit —
     // LPR trace, logical errors, and controller telemetry alike.
     let run = |policy: PolicyKind, stripe: usize| {
         Experiment::builder()
@@ -139,16 +140,16 @@ fn storm_recovery_is_stripe_invariant() {
         PolicyKind::eraser(),
         PolicyKind::adaptive(ControlLawKind::Ewma),
     ] {
-        let scalar = run(policy.clone(), 1);
+        let single = run(policy.clone(), 1);
         let striped = run(policy.clone(), 64);
         assert_eq!(
-            scalar.logical_errors, striped.logical_errors,
+            single.logical_errors, striped.logical_errors,
             "{policy}: logical errors"
         );
-        assert_eq!(scalar.lpr_data, striped.lpr_data, "{policy}: LPR trace");
-        assert_eq!(scalar.total_lrcs, striped.total_lrcs, "{policy}: LRCs");
+        assert_eq!(single.lpr_data, striped.lpr_data, "{policy}: LPR trace");
+        assert_eq!(single.total_lrcs, striped.total_lrcs, "{policy}: LRCs");
         assert_eq!(
-            scalar.controller, striped.controller,
+            single.controller, striped.controller,
             "{policy}: controller stats"
         );
     }
