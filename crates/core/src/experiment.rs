@@ -33,6 +33,13 @@
 //!   that caches runner construction per (distance, noise, rounds) key,
 //!   resolves the thread-pool partitioning once for the whole grid, and
 //!   streams [`SweepPoint`]s to a sink as they complete.
+//!
+//! [`ExperimentBuilder`] and [`SweepBuilder`] share one set of run setters
+//! (`rounds`, `cycles`, `basis` and every run knob), declared once. Each
+//! builder stores a single [`RunConfig`]; each knob setter writes one of its
+//! fields, whose doc is the knob's description. Both `build` methods run the
+//! same validation on the configuration they will run, including the
+//! `ERASER_*` environment overrides it would consult.
 
 use std::fmt;
 use std::str::FromStr;
@@ -44,8 +51,7 @@ use crate::policy::{
     AlwaysLrcPolicy, EraserOptions, EraserPolicy, LrcPolicy, NoLrcPolicy, OptimalPolicy,
 };
 use crate::runtime::{
-    DecoderKind, EnvOverrideError, ErasureDetection, LrcProtocol, MemoryRunResult, MemoryRunner,
-    RunConfig,
+    DecoderKind, EnvOverrideError, LrcProtocol, MemoryRunResult, MemoryRunner, RunConfig,
 };
 use qec_core::NoiseParams;
 use surface_code::{MemoryBasis, RotatedCode};
@@ -173,71 +179,47 @@ fn validate_distance(d: usize) -> Result<(), ExperimentError> {
     }
 }
 
-/// A run needs at least one shot (shared by both builders).
-fn validate_shots(shots: u64) -> Result<(), ExperimentError> {
-    if shots == 0 {
-        Err(ExperimentError::ZeroShots)
-    } else {
-        Ok(())
+/// Checks a run configuration against the policies it will run, then every
+/// `ERASER_*` override the configuration would consult, so a malformed
+/// environment surfaces here as a `Result` instead of inside a worker
+/// thread. Both builders call this on the configuration they will run.
+fn validate_run(config: &RunConfig, policies: &[PolicyKind]) -> Result<(), ExperimentError> {
+    if config.shots == 0 {
+        return Err(ExperimentError::ZeroShots);
     }
-}
-
-/// A stripe packs at most 64 shots into one machine word; 0 defers the
-/// resolution to the runtime (shared by both builders).
-fn validate_stripe_width(width: usize) -> Result<(), ExperimentError> {
-    if width > 64 {
-        Err(ExperimentError::InvalidStripeWidth(width))
-    } else {
-        Ok(())
-    }
-}
-
-/// A sliding-window stride must fit inside its window; window 0 selects
-/// monolithic decoding and stride 0 the `window − d` default (shared by
-/// both builders). The buffer ≥ d guarantee is enforced by that default —
-/// explicit strides may trade buffer for speed.
-fn validate_window(window: usize, stride: usize) -> Result<(), ExperimentError> {
-    if stride > window {
-        Err(ExperimentError::InvalidWindow { window, stride })
-    } else {
-        Ok(())
-    }
-}
-
-/// Erasure-detection FP/FN rates are probabilities (shared by both
-/// builders).
-fn validate_erasure(erasure: &ErasureDetection) -> Result<(), ExperimentError> {
-    for rate in [erasure.false_positive, erasure.false_negative] {
+    for rate in [config.erasure.false_positive, config.erasure.false_negative] {
         if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
             return Err(ExperimentError::InvalidDetectionRate(rate));
         }
     }
-    Ok(())
-}
-
-/// Controller knobs must validate — both a `RunConfig::controller` override
-/// and the knobs embedded in a selected [`PolicyKind::Adaptive`] (shared by
-/// both builders).
-fn validate_controller(
-    controller: &Option<ControllerConfig>,
-    policy: Option<&PolicyKind>,
-) -> Result<(), ExperimentError> {
-    if let Some(config) = controller {
-        config
+    // A stripe packs at most 64 shots into one machine word.
+    if config.stripe_width > 64 {
+        return Err(ExperimentError::InvalidStripeWidth(config.stripe_width));
+    }
+    // The buffer ≥ d guarantee comes from the stride-0 `window − d`
+    // default; explicit strides may trade buffer for speed.
+    if config.window_stride > config.window_rounds {
+        return Err(ExperimentError::InvalidWindow {
+            window: config.window_rounds,
+            stride: config.window_stride,
+        });
+    }
+    // The run-level controller override, then the knobs embedded in every
+    // selected adaptive policy.
+    let embedded = policies.iter().filter_map(|kind| match kind {
+        PolicyKind::Adaptive(controller) => Some(controller),
+        _ => None,
+    });
+    for controller in config.controller.iter().chain(embedded) {
+        controller
             .validate()
             .map_err(ExperimentError::InvalidController)?;
     }
-    if let Some(PolicyKind::Adaptive(config)) = policy {
-        config
-            .validate()
-            .map_err(ExperimentError::InvalidController)?;
-    }
-    Ok(())
-}
-
-/// Leakage-profile schedules must validate (shared by both builders).
-fn validate_profile(profile: &LeakageProfile) -> Result<(), ExperimentError> {
-    profile.validate().map_err(ExperimentError::InvalidProfile)
+    config
+        .profile
+        .validate()
+        .map_err(ExperimentError::InvalidProfile)?;
+    Ok(config.validate_env()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -484,14 +466,11 @@ impl RoundsSpec {
         }
     }
 
-    fn validate(self) -> Result<(), ExperimentError> {
-        let n = match self {
-            RoundsSpec::Fixed(n) | RoundsSpec::Cycles(n) => n,
-        };
-        if n == 0 {
-            Err(ExperimentError::ZeroRounds)
-        } else {
-            Ok(())
+    /// A builder's round specification: required, and at least one round.
+    fn required(spec: Option<RoundsSpec>) -> Result<RoundsSpec, ExperimentError> {
+        match spec.ok_or(ExperimentError::MissingRounds)? {
+            RoundsSpec::Fixed(0) | RoundsSpec::Cycles(0) => Err(ExperimentError::ZeroRounds),
+            spec => Ok(spec),
         }
     }
 }
@@ -631,6 +610,139 @@ impl Experiment {
     }
 }
 
+/// The setters [`ExperimentBuilder`] and [`SweepBuilder`] share, declared
+/// once and expanded into both `impl` blocks. Each run knob writes one
+/// field of the builder's `config: RunConfig` and links to that field's
+/// doc, the one description of the knob. `validate_run` checks every value
+/// at build time.
+macro_rules! shared_setters {
+    () => {
+        /// Fixed number of syndrome-extraction rounds per shot. Required
+        /// unless `cycles` is used; the later call wins.
+        pub fn rounds(mut self, rounds: usize) -> Self {
+            self.rounds = Some(RoundsSpec::Fixed(rounds));
+            self
+        }
+
+        /// QEC cycles: distance `d` runs `d × cycles` rounds. Required
+        /// unless `rounds` is used; the later call wins.
+        pub fn cycles(mut self, cycles: usize) -> Self {
+            self.rounds = Some(RoundsSpec::Cycles(cycles));
+            self
+        }
+
+        /// Memory basis to preserve (default Z, the paper's workload).
+        pub fn basis(mut self, basis: MemoryBasis) -> Self {
+            self.basis = basis;
+            self
+        }
+
+        /// Monte-Carlo shots per run (default 1000): [`RunConfig::shots`].
+        pub fn shots(mut self, shots: u64) -> Self {
+            self.config.shots = shots;
+            self
+        }
+
+        /// Root RNG seed (default `0x2023`): [`RunConfig::seed`].
+        pub fn seed(mut self, seed: u64) -> Self {
+            self.config.seed = seed;
+            self
+        }
+
+        /// Worker threads (default 0: `ERASER_THREADS`, else all cores):
+        /// [`RunConfig::threads`].
+        pub fn threads(mut self, threads: usize) -> Self {
+            self.config.threads = threads;
+            self
+        }
+
+        /// Decoder selection (default [`DecoderKind::Auto`]):
+        /// [`RunConfig::decoder`].
+        pub fn decoder(mut self, decoder: DecoderKind) -> Self {
+            self.config.decoder = decoder;
+            self
+        }
+
+        /// Leakage-removal protocol (default [`LrcProtocol::Swap`]):
+        /// [`RunConfig::protocol`].
+        pub fn protocol(mut self, protocol: LrcProtocol) -> Self {
+            self.config.protocol = protocol;
+            self
+        }
+
+        /// Whether to decode at all (default on): [`RunConfig::decode`].
+        pub fn decode(mut self, decode: bool) -> Self {
+            self.config.decode = decode;
+            self
+        }
+
+        /// Leakage-aware (erasure) decoding (default off, the paper's
+        /// leakage-blind decoder): `enabled` of [`RunConfig::erasure`].
+        pub fn leakage_aware_decoding(mut self, enabled: bool) -> Self {
+            self.config.erasure.enabled = enabled;
+            self
+        }
+
+        /// Imperfect-erasure-check rates: `false_positive` and
+        /// `false_negative` of [`RunConfig::erasure`]. Implies nothing
+        /// about `leakage_aware_decoding`.
+        pub fn erasure_detection(mut self, false_positive: f64, false_negative: f64) -> Self {
+            self.config.erasure.false_positive = false_positive;
+            self.config.erasure.false_negative = false_negative;
+            self
+        }
+
+        /// Shots per word-parallel stripe, 1..=64 (default 0: the full
+        /// 64-lane stripe): [`RunConfig::stripe_width`].
+        pub fn stripe_width(mut self, width: usize) -> Self {
+            self.config.stripe_width = width;
+            self
+        }
+
+        /// Sliding-window length in rounds (default 0: `ERASER_WINDOW`,
+        /// else monolithic): [`RunConfig::window_rounds`].
+        pub fn window_rounds(mut self, window: usize) -> Self {
+            self.config.window_rounds = window;
+            self
+        }
+
+        /// Rounds committed per window (default 0: `window − d`), at most
+        /// the window: [`RunConfig::window_stride`].
+        pub fn window_stride(mut self, stride: usize) -> Self {
+            self.config.window_stride = stride;
+            self
+        }
+
+        /// Intra-shot fusion threads (default 0: `ERASER_FUSION`, else
+        /// sequential): [`RunConfig::fusion_threads`].
+        pub fn fusion_threads(mut self, threads: usize) -> Self {
+            self.config.fusion_threads = threads;
+            self
+        }
+
+        /// Controller override for adaptive policies (beats
+        /// `ERASER_CONTROL`): [`RunConfig::controller`].
+        pub fn controller(mut self, config: ControllerConfig) -> Self {
+            self.config.controller = Some(config);
+            self
+        }
+
+        /// Time-varying injected-leakage schedule (default
+        /// [`LeakageProfile::Stationary`]): [`RunConfig::profile`].
+        pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
+            self.config.profile = profile;
+            self
+        }
+
+        /// Tiered sparse-syndrome predecoder (beats `ERASER_PREDECODE`;
+        /// unset means on): [`RunConfig::predecode`].
+        pub fn predecode(mut self, on: bool) -> Self {
+            self.config.predecode = Some(on);
+            self
+        }
+    };
+}
+
 /// Builder for [`Experiment`]. Invalid combinations surface as
 /// [`ExperimentError`]s from [`ExperimentBuilder::build`] instead of panics.
 #[derive(Debug, Clone)]
@@ -640,45 +752,18 @@ pub struct ExperimentBuilder {
     rounds: Option<RoundsSpec>,
     basis: MemoryBasis,
     policy: PolicyKind,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    decoder: DecoderKind,
-    protocol: LrcProtocol,
-    decode: bool,
-    erasure: ErasureDetection,
-    stripe_width: usize,
-    window_rounds: usize,
-    window_stride: usize,
-    fusion_threads: usize,
-    controller: Option<ControllerConfig>,
-    profile: LeakageProfile,
-    predecode: Option<bool>,
+    config: RunConfig,
 }
 
 impl Default for ExperimentBuilder {
     fn default() -> ExperimentBuilder {
-        let config = RunConfig::default();
         ExperimentBuilder {
             distance: None,
             noise: NoiseParams::default(),
             rounds: None,
             basis: MemoryBasis::Z,
             policy: PolicyKind::NoLrc,
-            shots: config.shots,
-            seed: config.seed,
-            threads: config.threads,
-            decoder: config.decoder,
-            protocol: config.protocol,
-            decode: config.decode,
-            erasure: config.erasure,
-            stripe_width: config.stripe_width,
-            window_rounds: config.window_rounds,
-            window_stride: config.window_stride,
-            fusion_threads: config.fusion_threads,
-            controller: config.controller,
-            profile: config.profile,
-            predecode: config.predecode,
+            config: RunConfig::default(),
         }
     }
 }
@@ -701,188 +786,25 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Fixed number of syndrome-extraction rounds. Required unless
-    /// [`ExperimentBuilder::cycles`] is used; the later call wins.
-    pub fn rounds(mut self, rounds: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Fixed(rounds));
-        self
-    }
-
-    /// QEC cycles; resolves to `d × cycles` rounds at build time.
-    pub fn cycles(mut self, cycles: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Cycles(cycles));
-        self
-    }
-
-    /// Memory basis to preserve (default Z, the paper's workload).
-    pub fn basis(mut self, basis: MemoryBasis) -> Self {
-        self.basis = basis;
-        self
-    }
-
     /// Policy to run under (default [`PolicyKind::NoLrc`]).
     pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Monte-Carlo shots (default 1000).
-    pub fn shots(mut self, shots: u64) -> Self {
-        self.shots = shots;
-        self
-    }
-
-    /// Root RNG seed (default `0x2023`).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Worker threads; 0 means all available cores (default).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Decoder selection (default [`DecoderKind::Auto`]).
-    pub fn decoder(mut self, decoder: DecoderKind) -> Self {
-        self.decoder = decoder;
-        self
-    }
-
-    /// Leakage-removal protocol (default [`LrcProtocol::Swap`]).
-    pub fn protocol(mut self, protocol: LrcProtocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Whether to decode at all; LPR-only studies disable this (default on).
-    pub fn decode(mut self, decode: bool) -> Self {
-        self.decode = decode;
-        self
-    }
-
-    /// Leakage-aware (erasure) decoding: thread the policy's per-round
-    /// leakage-detection flags into the decoder as dynamically reweighted
-    /// (erased) edges. Default off — the paper's leakage-blind decoder.
-    pub fn leakage_aware_decoding(mut self, enabled: bool) -> Self {
-        self.erasure.enabled = enabled;
-        self
-    }
-
-    /// Imperfect-erasure-check rates (Chang et al. 2024): the probability a
-    /// clean qubit is spuriously flagged per round, and the probability a
-    /// real flag is dropped. Implies nothing about `leakage_aware_decoding`;
-    /// rates are validated at build time.
-    pub fn erasure_detection(mut self, false_positive: f64, false_negative: f64) -> Self {
-        self.erasure.false_positive = false_positive;
-        self.erasure.false_negative = false_negative;
-        self
-    }
-
-    /// Shots simulated per word-parallel stripe (1..=64). The default 0
-    /// means the full 64-lane stripe. Every width runs the same shot loop
-    /// and gives bit-identical results; only wall-clock time changes.
-    pub fn stripe_width(mut self, width: usize) -> Self {
-        self.stripe_width = width;
-        self
-    }
-
-    /// Sliding-window length in rounds for streaming decoding. The default
-    /// 0 resolves at run time: the `ERASER_WINDOW` environment variable if
-    /// set, else monolithic whole-shot decoding (a window larger than the
-    /// round count also auto-selects monolithic). Windows bound peak decoder
-    /// memory at O(window²) regardless of the round count.
-    pub fn window_rounds(mut self, window: usize) -> Self {
-        self.window_rounds = window;
-        self
-    }
-
-    /// Rounds committed (and advanced) per window; 0 derives `window − d`
-    /// (min 1), which keeps the re-decoded buffer at d rounds. Validated at
-    /// build time: the stride must not exceed the window.
-    pub fn window_stride(mut self, stride: usize) -> Self {
-        self.window_stride = stride;
-        self
-    }
-
-    /// Intra-shot fusion threads: each shot's window chain is partitioned
-    /// into that many leaf blocks, decoded concurrently, and fused up a
-    /// balanced merge tree — bit-identical to the sequential windowed path
-    /// at every count. The default 0 resolves at run time: the
-    /// `ERASER_FUSION` environment variable if set, else 1 (sequential).
-    /// Values > 1 imply windowed decoding; when no window is configured,
-    /// `min(3d, rounds)` with the default stride is derived.
-    pub fn fusion_threads(mut self, threads: usize) -> Self {
-        self.fusion_threads = threads;
-        self
-    }
-
-    /// Run-level controller override for adaptive policies: replaces the
-    /// knobs embedded in the selected [`PolicyKind::Adaptive`] (and beats
-    /// the `ERASER_CONTROL` environment hook). Validated at build time;
-    /// static policies ignore it.
-    pub fn controller(mut self, config: ControllerConfig) -> Self {
-        self.controller = Some(config);
-        self
-    }
-
-    /// Time-varying injected-leakage schedule (default
-    /// [`LeakageProfile::Stationary`]: nothing injected). Validated at
-    /// build time; every shot draws it from its own physics stream.
-    pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Tiered sparse-syndrome fast path in front of every decode (tier 0
-    /// skips empty syndromes/windows, tier 1 resolves 1–2 defects in
-    /// closed form) — bit-identical either way. An explicit setting beats
-    /// the `ERASER_PREDECODE` environment hook; unset defaults to on.
-    pub fn predecode(mut self, on: bool) -> Self {
-        self.predecode = Some(on);
-        self
-    }
-
-    fn validated(&self) -> Result<(usize, usize), ExperimentError> {
-        let d = self.distance.ok_or(ExperimentError::MissingDistance)?;
-        validate_distance(d)?;
-        let spec = self.rounds.ok_or(ExperimentError::MissingRounds)?;
-        spec.validate()?;
-        validate_shots(self.shots)?;
-        validate_erasure(&self.erasure)?;
-        validate_stripe_width(self.stripe_width)?;
-        validate_window(self.window_rounds, self.window_stride)?;
-        validate_controller(&self.controller, Some(&self.policy))?;
-        validate_profile(&self.profile)?;
-        Ok((d, spec.resolve(d)))
-    }
+    shared_setters!();
 
     /// Validates and constructs the experiment (building the detector list
     /// and the decoding graph once).
     pub fn build(self) -> Result<Experiment, ExperimentError> {
-        let (d, rounds) = self.validated()?;
-        let config = RunConfig {
-            shots: self.shots,
-            seed: self.seed,
-            threads: self.threads,
-            decoder: self.decoder,
-            protocol: self.protocol,
-            decode: self.decode,
-            erasure: self.erasure,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            controller: self.controller,
-            profile: self.profile,
-            predecode: self.predecode,
-        };
-        config.validate_env()?;
+        let d = self.distance.ok_or(ExperimentError::MissingDistance)?;
+        validate_distance(d)?;
+        let rounds = RoundsSpec::required(self.rounds)?.resolve(d);
+        validate_run(&self.config, std::slice::from_ref(&self.policy))?;
         let runner = MemoryRunner::new_with_basis(d, self.noise, rounds, self.basis);
         Ok(Experiment {
             runner,
-            config,
+            config: self.config,
             policy: self.policy,
         })
     }
@@ -958,20 +880,7 @@ pub struct Sweep {
     noise: NoiseModel,
     rounds: RoundsSpec,
     basis: MemoryBasis,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    decoder: DecoderKind,
-    protocol: LrcProtocol,
-    decode: bool,
-    erasure: ErasureDetection,
-    stripe_width: usize,
-    window_rounds: usize,
-    window_stride: usize,
-    fusion_threads: usize,
-    controller: Option<ControllerConfig>,
-    profile: LeakageProfile,
-    predecode: Option<bool>,
+    config: RunConfig,
 }
 
 impl Sweep {
@@ -1026,22 +935,7 @@ impl Sweep {
         cache: &ArtifactCache,
         mut sink: impl FnMut(SweepPoint) -> bool,
     ) -> bool {
-        let mut config = RunConfig {
-            shots: self.shots,
-            seed: self.seed,
-            threads: self.threads,
-            decoder: self.decoder,
-            protocol: self.protocol,
-            decode: self.decode,
-            erasure: self.erasure,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            controller: self.controller,
-            profile: self.profile,
-            predecode: self.predecode,
-        };
+        let mut config = self.config;
         // The builder validated the environment, but it can have changed
         // since; the panic here is the documented low-level behaviour.
         config.threads = config.resolved_threads().unwrap_or_else(|e| panic!("{e}"));
@@ -1094,8 +988,9 @@ impl Sweep {
     }
 }
 
-/// Builder for [`Sweep`].
-#[derive(Debug, Clone)]
+/// Builder for [`Sweep`]. Every grid point runs under the one run
+/// configuration the shared setters build.
+#[derive(Debug, Clone, Default)]
 pub struct SweepBuilder {
     distances: Vec<usize>,
     error_rates: Vec<f64>,
@@ -1103,48 +998,7 @@ pub struct SweepBuilder {
     noise: NoiseModel,
     rounds: Option<RoundsSpec>,
     basis: MemoryBasis,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    decoder: DecoderKind,
-    protocol: LrcProtocol,
-    decode: bool,
-    erasure: ErasureDetection,
-    stripe_width: usize,
-    window_rounds: usize,
-    window_stride: usize,
-    fusion_threads: usize,
-    controller: Option<ControllerConfig>,
-    profile: LeakageProfile,
-    predecode: Option<bool>,
-}
-
-impl Default for SweepBuilder {
-    fn default() -> SweepBuilder {
-        let config = RunConfig::default();
-        SweepBuilder {
-            distances: Vec::new(),
-            error_rates: Vec::new(),
-            policies: Vec::new(),
-            noise: NoiseModel::Standard,
-            rounds: None,
-            basis: MemoryBasis::Z,
-            shots: config.shots,
-            seed: config.seed,
-            threads: config.threads,
-            decoder: config.decoder,
-            protocol: config.protocol,
-            decode: config.decode,
-            erasure: config.erasure,
-            stripe_width: config.stripe_width,
-            window_rounds: config.window_rounds,
-            window_stride: config.window_stride,
-            fusion_threads: config.fusion_threads,
-            controller: config.controller,
-            profile: config.profile,
-            predecode: config.predecode,
-        }
-    }
+    config: RunConfig,
 }
 
 impl SweepBuilder {
@@ -1184,125 +1038,7 @@ impl SweepBuilder {
         self
     }
 
-    /// Fixed rounds per shot for every distance.
-    pub fn rounds(mut self, rounds: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Fixed(rounds));
-        self
-    }
-
-    /// QEC cycles; each distance runs `d × cycles` rounds.
-    pub fn cycles(mut self, cycles: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Cycles(cycles));
-        self
-    }
-
-    /// Memory basis (default Z).
-    pub fn basis(mut self, basis: MemoryBasis) -> Self {
-        self.basis = basis;
-        self
-    }
-
-    /// Monte-Carlo shots per grid point (default 1000).
-    pub fn shots(mut self, shots: u64) -> Self {
-        self.shots = shots;
-        self
-    }
-
-    /// Root RNG seed, shared by every point (default `0x2023`).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Worker threads; 0 resolves to all cores once per sweep (default).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Decoder selection (default auto).
-    pub fn decoder(mut self, decoder: DecoderKind) -> Self {
-        self.decoder = decoder;
-        self
-    }
-
-    /// LRC protocol (default SWAP).
-    pub fn protocol(mut self, protocol: LrcProtocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Whether points decode (default on).
-    pub fn decode(mut self, decode: bool) -> Self {
-        self.decode = decode;
-        self
-    }
-
-    /// Leakage-aware (erasure) decoding for every grid point (default off).
-    pub fn leakage_aware_decoding(mut self, enabled: bool) -> Self {
-        self.erasure.enabled = enabled;
-        self
-    }
-
-    /// Imperfect-erasure-check FP/FN rates for every grid point (validated
-    /// at build time).
-    pub fn erasure_detection(mut self, false_positive: f64, false_negative: f64) -> Self {
-        self.erasure.false_positive = false_positive;
-        self.erasure.false_negative = false_negative;
-        self
-    }
-
-    /// Shots simulated per word-parallel stripe for every grid point
-    /// (1..=64; 0 means the full 64-lane stripe).
-    pub fn stripe_width(mut self, width: usize) -> Self {
-        self.stripe_width = width;
-        self
-    }
-
-    /// Sliding-window length in rounds for streaming decoding on every grid
-    /// point (0 = monolithic / `ERASER_WINDOW` resolution, as on
-    /// [`ExperimentBuilder::window_rounds`]).
-    pub fn window_rounds(mut self, window: usize) -> Self {
-        self.window_rounds = window;
-        self
-    }
-
-    /// Rounds committed per window on every grid point (0 derives the
-    /// `window − d` default; validated at build time).
-    pub fn window_stride(mut self, stride: usize) -> Self {
-        self.window_stride = stride;
-        self
-    }
-
-    /// Intra-shot fusion threads on every grid point (0 = `ERASER_FUSION`
-    /// resolution, else sequential — as on
-    /// [`ExperimentBuilder::fusion_threads`]).
-    pub fn fusion_threads(mut self, threads: usize) -> Self {
-        self.fusion_threads = threads;
-        self
-    }
-
-    /// Run-level controller override for adaptive policies on every grid
-    /// point (validated at build time; static policies ignore it).
-    pub fn controller(mut self, config: ControllerConfig) -> Self {
-        self.controller = Some(config);
-        self
-    }
-
-    /// Time-varying injected-leakage schedule applied to every grid point
-    /// (default [`LeakageProfile::Stationary`]; validated at build time).
-    pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Tiered predecoder on every grid point (bit-identical either way;
-    /// beats the `ERASER_PREDECODE` environment hook, unset defaults to
-    /// on — as on [`ExperimentBuilder::predecode`]).
-    pub fn predecode(mut self, on: bool) -> Self {
-        self.predecode = Some(on);
-        self
-    }
+    shared_setters!();
 
     /// Validates the grid and run parameters.
     pub fn build(self) -> Result<Sweep, ExperimentError> {
@@ -1323,25 +1059,8 @@ impl SweepBuilder {
                 return Err(ExperimentError::InvalidErrorRate(p));
             }
         }
-        let rounds = self.rounds.ok_or(ExperimentError::MissingRounds)?;
-        rounds.validate()?;
-        validate_shots(self.shots)?;
-        validate_erasure(&self.erasure)?;
-        validate_stripe_width(self.stripe_width)?;
-        validate_window(self.window_rounds, self.window_stride)?;
-        for kind in &self.policies {
-            validate_controller(&self.controller, Some(kind))?;
-        }
-        validate_profile(&self.profile)?;
-        RunConfig {
-            threads: self.threads,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            ..RunConfig::default()
-        }
-        .validate_env()?;
+        let rounds = RoundsSpec::required(self.rounds)?;
+        validate_run(&self.config, &self.policies)?;
         Ok(Sweep {
             distances: self.distances,
             error_rates: self.error_rates,
@@ -1349,20 +1068,7 @@ impl SweepBuilder {
             noise: self.noise,
             rounds,
             basis: self.basis,
-            shots: self.shots,
-            seed: self.seed,
-            threads: self.threads,
-            decoder: self.decoder,
-            protocol: self.protocol,
-            decode: self.decode,
-            erasure: self.erasure,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            controller: self.controller,
-            profile: self.profile,
-            predecode: self.predecode,
+            config: self.config,
         })
     }
 }
@@ -1903,5 +1609,75 @@ mod tests {
             .run();
         assert!(!quiet.controller.is_active());
         assert_eq!(quiet.controller, crate::control::ControllerStats::default());
+    }
+
+    /// Each shared setter writes its own `RunConfig` field (or the round /
+    /// basis spec): every knob takes a distinct non-default value, so a
+    /// setter writing the wrong field shows in the compared configuration.
+    /// The setters are declared once; both builders still run the chain.
+    #[test]
+    fn each_shared_setter_lands_in_its_own_field() {
+        use crate::runtime::ErasureDetection;
+        let profile = LeakageProfile::Burst {
+            start: 1,
+            len: 2,
+            period: 6,
+            rate: 0.1,
+        };
+        macro_rules! every_shared_setter {
+            ($builder:expr) => {
+                $builder
+                    .cycles(5)
+                    .basis(MemoryBasis::X)
+                    .shots(11)
+                    .seed(12)
+                    .threads(3)
+                    .decoder(DecoderKind::UnionFind)
+                    .protocol(LrcProtocol::Dqlr)
+                    .decode(false)
+                    .leakage_aware_decoding(true)
+                    .erasure_detection(0.25, 0.5)
+                    .stripe_width(7)
+                    .window_rounds(9)
+                    .window_stride(4)
+                    .fusion_threads(2)
+                    .controller(ControllerConfig::budget())
+                    .leakage_profile(profile)
+                    .predecode(false)
+            };
+        }
+        let expected = RunConfig {
+            shots: 11,
+            seed: 12,
+            threads: 3,
+            decoder: DecoderKind::UnionFind,
+            protocol: LrcProtocol::Dqlr,
+            decode: false,
+            erasure: ErasureDetection::imperfect(0.25, 0.5),
+            stripe_width: 7,
+            window_rounds: 9,
+            window_stride: 4,
+            fusion_threads: 2,
+            controller: Some(ControllerConfig::budget()),
+            profile,
+            predecode: Some(false),
+        };
+        let experiment = every_shared_setter!(ExperimentBuilder::new());
+        let sweep = every_shared_setter!(SweepBuilder::new());
+        for (config, rounds, basis) in [
+            (experiment.config, experiment.rounds, experiment.basis),
+            (sweep.config, sweep.rounds, sweep.basis),
+        ] {
+            // `RunConfig` has no `PartialEq`; its `Debug` lists every field.
+            assert_eq!(format!("{config:?}"), format!("{expected:?}"));
+            assert_eq!(rounds, Some(RoundsSpec::Cycles(5)));
+            assert_eq!(basis, MemoryBasis::X);
+        }
+        let fixed = ExperimentBuilder::new().cycles(5).rounds(4);
+        assert_eq!(
+            fixed.rounds,
+            Some(RoundsSpec::Fixed(4)),
+            "the later call wins"
+        );
     }
 }

@@ -241,6 +241,8 @@ pub struct RunConfig {
     /// `ERASER_WINDOW` environment variable if set, else monolithic
     /// whole-shot decoding. A window larger than the round count also
     /// auto-selects the monolithic path (one window would cover the shot).
+    /// Windows bound peak decoder memory at O(window²) regardless of the
+    /// round count.
     pub window_rounds: usize,
     /// Rounds committed (and advanced) per window; 0 derives the default
     /// `window_rounds − d` (clamped to ≥ 1), which keeps the re-decoded
@@ -417,6 +419,19 @@ pub fn parse_predecode_env(raw: &str) -> Result<Option<bool>, EnvOverrideError> 
     })
 }
 
+/// Reads one `ERASER_*` override through its strict parser: `Ok(None)`
+/// when the variable is unset, so each `RunConfig::resolved_*` reads as
+/// "field, else environment, else default".
+fn env_override<T>(
+    var: &str,
+    parse: impl FnOnce(&str) -> Result<Option<T>, EnvOverrideError>,
+) -> Result<Option<T>, EnvOverrideError> {
+    match std::env::var(var) {
+        Ok(raw) => parse(&raw),
+        Err(_) => Ok(None),
+    }
+}
+
 impl RunConfig {
     /// The worker-thread count this configuration resolves to: `threads`
     /// itself; else the `ERASER_THREADS` environment variable (the CI test
@@ -425,17 +440,11 @@ impl RunConfig {
     /// affects wall-clock time. A malformed override is an error, never a
     /// silent default.
     pub fn resolved_threads(&self) -> Result<usize, EnvOverrideError> {
-        if self.threads != 0 {
-            return Ok(self.threads);
-        }
-        if let Ok(raw) = std::env::var("ERASER_THREADS") {
-            if let Some(n) = parse_threads_env(&raw)? {
-                return Ok(n);
-            }
-        }
-        Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1))
+        Ok(match self.threads {
+            0 => env_override("ERASER_THREADS", parse_threads_env)?
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n,
+        })
     }
 
     /// The `(window_rounds, window_stride)` pair this configuration resolves
@@ -445,18 +454,10 @@ impl RunConfig {
     /// resolved later against the code distance (`window − d`, min 1).
     /// A malformed override is an error, never a silent default.
     pub fn resolved_window(&self) -> Result<(usize, usize), EnvOverrideError> {
-        if self.window_rounds != 0 {
-            return Ok((
-                self.window_rounds,
-                self.window_stride.min(self.window_rounds),
-            ));
-        }
-        if let Ok(raw) = std::env::var("ERASER_WINDOW") {
-            if let Some(pair) = parse_window_env(&raw)? {
-                return Ok(pair);
-            }
-        }
-        Ok((0, 0))
+        Ok(match self.window_rounds {
+            0 => env_override("ERASER_WINDOW", parse_window_env)?.unwrap_or((0, 0)),
+            w => (w, self.window_stride.min(w)),
+        })
     }
 
     /// The decoder selection this configuration resolves to: `decoder`
@@ -467,15 +468,12 @@ impl RunConfig {
     /// the override never silently degrades accuracy. A malformed override
     /// is an error, never a silent default.
     pub fn resolved_decoder(&self) -> Result<DecoderKind, EnvOverrideError> {
-        if self.decoder != DecoderKind::Auto {
-            return Ok(self.decoder);
-        }
-        if let Ok(raw) = std::env::var("ERASER_DECODER") {
-            if let Some(kind) = parse_decoder_env(&raw)? {
-                return Ok(kind);
+        Ok(match self.decoder {
+            DecoderKind::Auto => {
+                env_override("ERASER_DECODER", parse_decoder_env)?.unwrap_or(DecoderKind::Auto)
             }
-        }
-        Ok(DecoderKind::Auto)
+            kind => kind,
+        })
     }
 
     /// The stripe width this configuration resolves to: `stripe_width`
@@ -496,15 +494,10 @@ impl RunConfig {
     /// affects per-shot decode latency. A malformed override is an error,
     /// never a silent default.
     pub fn resolved_fusion(&self) -> Result<usize, EnvOverrideError> {
-        if self.fusion_threads != 0 {
-            return Ok(self.fusion_threads);
-        }
-        if let Ok(raw) = std::env::var("ERASER_FUSION") {
-            if let Some(n) = parse_fusion_env(&raw)? {
-                return Ok(n);
-            }
-        }
-        Ok(1)
+        Ok(match self.fusion_threads {
+            0 => env_override("ERASER_FUSION", parse_fusion_env)?.unwrap_or(1),
+            n => n,
+        })
     }
 
     /// The controller configuration adaptive policies resolve to:
@@ -513,13 +506,10 @@ impl RunConfig {
     /// `None` — the `PolicyKind::Adaptive` variant's own knobs apply.
     /// A malformed override is an error, never a silent default.
     pub fn resolved_controller(&self) -> Result<Option<ControllerConfig>, EnvOverrideError> {
-        if let Some(config) = self.controller {
-            return Ok(Some(config));
+        match self.controller {
+            Some(config) => Ok(Some(config)),
+            None => env_override("ERASER_CONTROL", parse_control_env),
         }
-        if let Ok(raw) = std::env::var("ERASER_CONTROL") {
-            return parse_control_env(&raw);
-        }
-        Ok(None)
     }
 
     /// Whether the tiered predecoder is active for this run: `predecode`
@@ -529,15 +519,10 @@ impl RunConfig {
     /// only affects decode latency and telemetry. A malformed override is
     /// an error, never a silent default.
     pub fn resolved_predecode(&self) -> Result<bool, EnvOverrideError> {
-        if let Some(on) = self.predecode {
-            return Ok(on);
+        match self.predecode {
+            Some(on) => Ok(on),
+            None => Ok(env_override("ERASER_PREDECODE", parse_predecode_env)?.unwrap_or(true)),
         }
-        if let Ok(raw) = std::env::var("ERASER_PREDECODE") {
-            if let Some(on) = parse_predecode_env(&raw)? {
-                return Ok(on);
-            }
-        }
-        Ok(true)
     }
 
     /// Checks every `ERASER_*` override this configuration would consult,
