@@ -28,7 +28,6 @@
 //! runner, giving the controller a time-varying workload to adapt to.
 
 use crate::policy::{LeakageDetections, LrcPolicy, RoundContext};
-use crate::runtime::EnvOverrideError;
 use surface_code::{LrcAssignment, RotatedCode};
 
 /// One unit in the controller's Q16 fixed-point rate representation.
@@ -441,8 +440,8 @@ pub enum ControlBase {
 
 /// Validated knobs for [`AdaptivePolicy`]. Constructed via
 /// [`ControllerConfig::ewma`] / [`ControllerConfig::budget`] and overridden
-/// per run through `RunConfig::controller` or the `ERASER_CONTROL`
-/// environment variable.
+/// per run through `RunConfig::controller`, which the `ERASER_CONTROL`
+/// environment variable fills at build time when unset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// The control law.
@@ -580,12 +579,6 @@ fn parse_usize(value: &str) -> Result<usize, &'static str> {
 
 fn parse_f64(value: &str) -> Result<f64, &'static str> {
     value.parse().map_err(|_| "knob value is not a number")
-}
-
-/// Strict `ERASER_CONTROL` parser: empty/whitespace means unset, anything
-/// else must be a valid controller spec.
-pub fn parse_control_env(raw: &str) -> Result<Option<ControllerConfig>, EnvOverrideError> {
-    crate::runtime::parse_env_override("ERASER_CONTROL", raw, ControllerConfig::parse_spec)
 }
 
 // ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@
 //! (`rounds`, `cycles`, `basis` and every run knob), declared once. Each
 //! builder stores a single [`RunConfig`]; each knob setter writes one of its
 //! fields, whose doc is the knob's description. Both `build` methods run the
-//! same validation on the configuration they will run, including the
-//! `ERASER_*` environment overrides it would consult.
+//! same validation on that configuration and then apply the `ERASER_*`
+//! environment overrides to it, once ([`RunConfig::with_env`]); runs read
+//! only the resulting fields.
 
 use std::fmt;
 use std::str::FromStr;
@@ -105,9 +106,9 @@ pub enum ExperimentError {
     UnknownPolicy(String),
     /// `DecoderKind::from_str` did not recognize the name.
     UnknownDecoder(String),
-    /// A malformed `ERASER_*` environment override the configuration would
-    /// consult at run time. Checked at build time so the error surfaces
-    /// here, as a `Result`, instead of deep inside a worker thread.
+    /// A malformed `ERASER_*` environment override for a knob the
+    /// configuration left unset. The builders apply the overrides at build
+    /// time, so the error surfaces here, as a `Result`.
     EnvOverride(EnvOverrideError),
 }
 
@@ -179,11 +180,10 @@ fn validate_distance(d: usize) -> Result<(), ExperimentError> {
     }
 }
 
-/// Checks a run configuration against the policies it will run, then every
-/// `ERASER_*` override the configuration would consult, so a malformed
-/// environment surfaces here as a `Result` instead of inside a worker
-/// thread. Both builders call this on the configuration they will run.
-fn validate_run(config: &RunConfig, policies: &[PolicyKind]) -> Result<(), ExperimentError> {
+/// Checks a run configuration against the policies it will run, then
+/// applies the `ERASER_*` overrides to it, so a malformed environment
+/// surfaces here as a `Result`. Both builders run what this returns.
+fn validate_run(config: RunConfig, policies: &[PolicyKind]) -> Result<RunConfig, ExperimentError> {
     if config.shots == 0 {
         return Err(ExperimentError::ZeroShots);
     }
@@ -219,7 +219,7 @@ fn validate_run(config: &RunConfig, policies: &[PolicyKind]) -> Result<(), Exper
         .profile
         .validate()
         .map_err(ExperimentError::InvalidProfile)?;
-    Ok(config.validate_env()?)
+    Ok(config.with_env()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -247,9 +247,9 @@ pub enum PolicyKind {
     Optimal,
     /// The feedback-controlled adaptive policy: a [`crate::control`]
     /// estimator + control law retuning the LRC density mid-run. The
-    /// embedded knobs are defaults — `RunConfig::controller` or the
-    /// `ERASER_CONTROL` environment variable override them per run (see
-    /// [`PolicyKind::resolved`]).
+    /// embedded knobs are defaults — `RunConfig::controller` (which the
+    /// `ERASER_CONTROL` environment variable fills at build time when
+    /// unset) overrides them per run (see [`PolicyKind::resolved`]).
     Adaptive(ControllerConfig),
     /// A user-supplied policy factory (the closure escape hatch).
     Custom {
@@ -324,15 +324,12 @@ impl PolicyKind {
 
     /// The policy this kind resolves to under `config`: for
     /// [`PolicyKind::Adaptive`] the run-level controller override
-    /// (`RunConfig::controller`, else `ERASER_CONTROL`) replaces the
-    /// variant's embedded knobs; every other kind is returned unchanged.
-    pub fn resolved(&self, config: &RunConfig) -> Result<PolicyKind, EnvOverrideError> {
+    /// (`RunConfig::controller`) replaces the variant's embedded knobs;
+    /// every other kind is returned unchanged.
+    pub fn resolved(&self, config: &RunConfig) -> PolicyKind {
         match self {
-            PolicyKind::Adaptive(own) => {
-                let effective = config.resolved_controller()?.unwrap_or(*own);
-                Ok(PolicyKind::Adaptive(effective))
-            }
-            other => Ok(other.clone()),
+            PolicyKind::Adaptive(own) => PolicyKind::Adaptive(config.controller.unwrap_or(*own)),
+            other => other.clone(),
         }
     }
 
@@ -517,7 +514,8 @@ impl Experiment {
         self.runner.experiment().noise()
     }
 
-    /// The run configuration.
+    /// The run configuration, with the `ERASER_*` overrides applied at
+    /// build time filled in.
     pub fn config(&self) -> &RunConfig {
         &self.config
     }
@@ -538,19 +536,15 @@ impl Experiment {
         self.config.decoder = decoder;
     }
 
-    /// The decoder the configured [`DecoderKind`] resolves to for this
-    /// experiment's decoding graph. Goes through
-    /// [`RunConfig::resolved_decoder`] (the `ERASER_DECODER` hook, already
-    /// validated at build time) and then [`DecoderKind::resolve`] — the same
-    /// single-source rule `MemoryRunner::run` applies — so on decode-enabled
-    /// runs `Auto` reports exactly what will decode (runs built with
-    /// `.decode(false)` decode nothing and report `"none"`). Never returns
-    /// [`DecoderKind::Auto`].
+    /// The decoder the configured [`DecoderKind`] (including an
+    /// `ERASER_DECODER` override applied at build time) resolves to for
+    /// this experiment's decoding graph, through [`DecoderKind::resolve`] —
+    /// the same single-source rule `MemoryRunner::run` applies — so on
+    /// decode-enabled monolithic runs `Auto` reports exactly what will
+    /// decode (runs built with `.decode(false)` decode nothing and report
+    /// `"none"`). Never returns [`DecoderKind::Auto`].
     pub fn resolved_decoder(&self) -> DecoderKind {
-        self.config
-            .resolved_decoder()
-            .unwrap_or(self.config.decoder)
-            .resolve(self.runner.graph())
+        self.config.decoder.resolve(self.runner.graph())
     }
 
     /// Swaps the LRC protocol without rebuilding the runner.
@@ -595,16 +589,12 @@ impl Experiment {
     /// jobs — pay the build once. Artifacts are deterministic functions of
     /// the physics, so results are bit-identical to a cache-free run.
     pub fn run_policy(&self, kind: &PolicyKind) -> MemoryRunResult {
-        // Adaptive kinds resolve the run-level controller override
-        // (`RunConfig::controller`, else `ERASER_CONTROL`) here, the one
-        // place every facade run passes through.
-        let kind = kind
-            .resolved(&self.config)
-            .unwrap_or_else(|e| panic!("{e}"));
+        // Adaptive kinds resolve the run-level controller override here,
+        // the one place every facade run passes through.
+        let kind = kind.resolved(&self.config);
         let artifacts = self
             .runner
-            .decode_artifacts(&self.config, Some(ArtifactCache::global()))
-            .unwrap_or_else(|e| panic!("{e}"));
+            .resolve_artifacts(&self.config, Some(ArtifactCache::global()));
         self.runner
             .run_with_artifacts(&|code| kind.build(code), &self.config, &artifacts)
     }
@@ -649,7 +639,8 @@ macro_rules! shared_setters {
             self
         }
 
-        /// Worker threads (default 0: `ERASER_THREADS`, else all cores):
+        /// Worker threads (default 0: `ERASER_THREADS` at build, else all
+        /// cores):
         /// [`RunConfig::threads`].
         pub fn threads(mut self, threads: usize) -> Self {
             self.config.threads = threads;
@@ -699,8 +690,8 @@ macro_rules! shared_setters {
             self
         }
 
-        /// Sliding-window length in rounds (default 0: `ERASER_WINDOW`,
-        /// else monolithic): [`RunConfig::window_rounds`].
+        /// Sliding-window length in rounds (default 0: `ERASER_WINDOW` at
+        /// build, else monolithic): [`RunConfig::window_rounds`].
         pub fn window_rounds(mut self, window: usize) -> Self {
             self.config.window_rounds = window;
             self
@@ -713,8 +704,8 @@ macro_rules! shared_setters {
             self
         }
 
-        /// Intra-shot fusion threads (default 0: `ERASER_FUSION`, else
-        /// sequential): [`RunConfig::fusion_threads`].
+        /// Intra-shot fusion threads (default 0: `ERASER_FUSION` at build,
+        /// else sequential): [`RunConfig::fusion_threads`].
         pub fn fusion_threads(mut self, threads: usize) -> Self {
             self.config.fusion_threads = threads;
             self
@@ -800,11 +791,11 @@ impl ExperimentBuilder {
         let d = self.distance.ok_or(ExperimentError::MissingDistance)?;
         validate_distance(d)?;
         let rounds = RoundsSpec::required(self.rounds)?.resolve(d);
-        validate_run(&self.config, std::slice::from_ref(&self.policy))?;
+        let config = validate_run(self.config, std::slice::from_ref(&self.policy))?;
         let runner = MemoryRunner::new_with_basis(d, self.noise, rounds, self.basis);
         Ok(Experiment {
             runner,
-            config: self.config,
+            config,
             policy: self.policy,
         })
     }
@@ -913,10 +904,9 @@ impl Sweep {
     /// artifacts (APSP table / union-find capacities / window plan) are
     /// resolved once per cell and shared with every other run of the same
     /// physics, including other sweeps and `eraser-serve` jobs in this
-    /// process. The worker-thread partitioning is resolved once up front.
-    /// (Results are bit-identical for any thread count and any cache state
-    /// — shots own their RNG streams and artifacts are deterministic — so
-    /// both only pin wall-clock behaviour.)
+    /// process. (Results are bit-identical for any thread count and any
+    /// cache state — shots own their RNG streams and artifacts are
+    /// deterministic — so both only pin wall-clock behaviour.)
     pub fn for_each(&self, mut sink: impl FnMut(SweepPoint)) {
         self.try_for_each_cached(ArtifactCache::global(), |point| {
             sink(point);
@@ -935,16 +925,13 @@ impl Sweep {
         cache: &ArtifactCache,
         mut sink: impl FnMut(SweepPoint) -> bool,
     ) -> bool {
-        let mut config = self.config;
-        // The builder validated the environment, but it can have changed
-        // since; the panic here is the documented low-level behaviour.
-        config.threads = config.resolved_threads().unwrap_or_else(|e| panic!("{e}"));
+        let config = &self.config;
         // Adaptive kinds resolve the run-level controller override once for
         // the whole grid (every cell shares one configuration).
         let policies: Vec<PolicyKind> = self
             .policies
             .iter()
-            .map(|kind| kind.resolved(&config).unwrap_or_else(|e| panic!("{e}")))
+            .map(|kind| kind.resolved(config))
             .collect();
         for &d in &self.distances {
             let rounds = self.rounds.resolve(d);
@@ -958,12 +945,10 @@ impl Sweep {
                     MemoryRunner::approx_bytes,
                     || MemoryRunner::new_with_basis(d, noise, rounds, self.basis),
                 );
-                let artifacts = runner
-                    .decode_artifacts(&config, Some(cache))
-                    .unwrap_or_else(|e| panic!("{e}"));
+                let artifacts = runner.resolve_artifacts(config, Some(cache));
                 for kind in &policies {
                     let result =
-                        runner.run_with_artifacts(&|code| kind.build(code), &config, &artifacts);
+                        runner.run_with_artifacts(&|code| kind.build(code), config, &artifacts);
                     let proceed = sink(SweepPoint {
                         distance: d,
                         p,
@@ -1060,7 +1045,7 @@ impl SweepBuilder {
             }
         }
         let rounds = RoundsSpec::required(self.rounds)?;
-        validate_run(&self.config, &self.policies)?;
+        let config = validate_run(self.config, &self.policies)?;
         Ok(Sweep {
             distances: self.distances,
             error_rates: self.error_rates,
@@ -1068,7 +1053,7 @@ impl SweepBuilder {
             noise: self.noise,
             rounds,
             basis: self.basis,
-            config: self.config,
+            config,
         })
     }
 }
@@ -1556,21 +1541,18 @@ mod tests {
         let kind = PolicyKind::adaptive(ControlLawKind::Ewma);
         let mut config = RunConfig::default();
         assert_eq!(
-            kind.resolved(&config).unwrap(),
+            kind.resolved(&config),
             kind,
             "no override leaves the embedded knobs"
         );
         config.controller = Some(override_config);
         assert_eq!(
-            kind.resolved(&config).unwrap(),
+            kind.resolved(&config),
             PolicyKind::Adaptive(override_config),
             "the run-level controller rebinds the variant"
         );
         // Static kinds never change.
-        assert_eq!(
-            PolicyKind::eraser().resolved(&config).unwrap(),
-            PolicyKind::eraser()
-        );
+        assert_eq!(PolicyKind::eraser().resolved(&config), PolicyKind::eraser());
     }
 
     #[test]

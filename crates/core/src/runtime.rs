@@ -23,7 +23,7 @@
 //! [`RunConfig::window_rounds`] is 0 or exceeds the round count): the whole
 //! shot's detection events form one syndrome over the whole-experiment
 //! decoding graph. **Sliding-window streaming** (`window_rounds` in
-//! `1..=rounds`, or the `ERASER_WINDOW` environment variable): each round's
+//! `1..=rounds`, which `ERASER_WINDOW` can fill at build time): each round's
 //! defects and erasure flags are pushed into a per-shot
 //! [`qec_decoder::WindowedDecoder`] as the round completes, and windows of
 //! `window_rounds` rounds are decoded incrementally, committing
@@ -44,7 +44,7 @@
 //!   decisions against simulator ground truth (Fig 16).
 
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, ExperimentKey};
-use crate::control::{parse_control_env, ControllerConfig, ControllerStats, LeakageProfile};
+use crate::control::{ControllerConfig, ControllerStats, LeakageProfile};
 use crate::policy::{LrcPolicy, StripeRoundContext, StripedPolicy};
 use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
@@ -217,12 +217,12 @@ pub struct RunConfig {
     /// index), so the whole run is a pure function of the seed — regardless
     /// of the worker-thread count.
     pub seed: u64,
-    /// Worker threads; 0 means the `ERASER_THREADS` environment variable if
-    /// set, else all available cores.
+    /// Worker threads; 0 means all available cores. [`RunConfig::with_env`]
+    /// fills an unset count from `ERASER_THREADS`.
     pub threads: usize,
-    /// Decoder selection. `Auto` defers to the `ERASER_DECODER`
-    /// environment variable if set, else to the node-count rule in
-    /// [`DecoderKind::resolve`]. An explicit kind always wins.
+    /// Decoder selection. `Auto` applies the node-count rule in
+    /// [`DecoderKind::resolve`]; [`RunConfig::with_env`] replaces it with
+    /// `ERASER_DECODER` when set. An explicit kind always wins.
     pub decoder: DecoderKind,
     /// Leakage-removal protocol executed for scheduled pairs.
     pub protocol: LrcProtocol,
@@ -237,9 +237,10 @@ pub struct RunConfig {
     /// loop; results are bit-identical for every width (shots own their RNG
     /// streams), so the width only changes wall-clock time.
     pub stripe_width: usize,
-    /// Sliding-window length in rounds for streaming decoding; 0 means the
-    /// `ERASER_WINDOW` environment variable if set, else monolithic
-    /// whole-shot decoding. A window larger than the round count also
+    /// Sliding-window length in rounds for streaming decoding; 0 means
+    /// monolithic whole-shot decoding ([`RunConfig::with_env`] fills an
+    /// unset window and its stride from `ERASER_WINDOW`, `"W"` or `"W:S"`).
+    /// A window larger than the round count also
     /// auto-selects the monolithic path (one window would cover the shot).
     /// Windows bound peak decoder memory at O(window²) regardless of the
     /// round count.
@@ -251,8 +252,9 @@ pub struct RunConfig {
     /// Intra-shot fusion decoding threads: each shot's window chain is
     /// partitioned into this many leaf blocks, decoded concurrently, and
     /// fused up a balanced merge tree — bit-identical to the sequential
-    /// windowed path at every count. 0 means the `ERASER_FUSION`
-    /// environment variable if set, else 1 (sequential). Values > 1 imply
+    /// windowed path at every count. 0 means 1 (sequential);
+    /// [`RunConfig::with_env`] fills an unset count from `ERASER_FUSION`.
+    /// Values > 1 imply
     /// windowed decoding: if no window is configured, `min(3d, rounds)`
     /// with the default stride is derived. Per-worker fusion pools stack on
     /// top of [`RunConfig::threads`], so pair `fusion_threads = T` with
@@ -260,8 +262,9 @@ pub struct RunConfig {
     pub fusion_threads: usize,
     /// Feedback-controller override for adaptive policies: `Some` replaces
     /// the knobs embedded in `PolicyKind::Adaptive` for this run; `None`
-    /// defers to the `ERASER_CONTROL` environment variable, then to the
-    /// policy's own configuration. Static policies ignore it entirely.
+    /// keeps the policy's own configuration ([`RunConfig::with_env`] fills
+    /// it from `ERASER_CONTROL` when set). Static policies ignore it
+    /// entirely.
     pub controller: Option<ControllerConfig>,
     /// Time-varying injected-leakage schedule (bursts, ramps). The runner
     /// applies the profile's per-round rate as an extra `LeakInject` on
@@ -272,8 +275,9 @@ pub struct RunConfig {
     /// Tiered sparse-syndrome fast path in front of every decode (tier 0
     /// skips empty syndromes/windows, tier 1 resolves 1–2 defects in
     /// closed form, tier 2 is the configured backend — bit-identical
-    /// either way). `Some` forces it; `None` defers to the
-    /// `ERASER_PREDECODE` environment variable (`on`/`off`), then to on.
+    /// either way). `Some` forces it; `None` means on
+    /// ([`RunConfig::with_env`] fills it from `ERASER_PREDECODE`,
+    /// `on`/`off`).
     pub predecode: Option<bool>,
 }
 
@@ -300,12 +304,12 @@ impl Default for RunConfig {
 
 /// A malformed `ERASER_*` environment override.
 ///
-/// The `ERASER_THREADS` / `ERASER_WINDOW` hooks used to be resolved with
-/// `.parse().ok()`, so a typo (`ERASER_THREADS=fuor`) silently fell back
-/// to the default — the worst failure mode for a knob whose whole job is
-/// reproducing a specific configuration. Malformed values now surface as
-/// this error: the `Experiment`/`Sweep` builders return it at build time,
-/// and the low-level [`MemoryRunner::run`] path panics with its message.
+/// A typo (`ERASER_THREADS=fuor`) must not fall back to the default: the
+/// knob's whole job is reproducing a specific configuration. Malformed
+/// values surface as this error from [`RunConfig::with_env`], which the
+/// `Experiment`/`Sweep` builders apply once, at build time, and the
+/// low-level [`MemoryRunner::decode_artifacts`] applies per call. Only
+/// [`MemoryRunner::run`], which returns no `Result`, panics with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvOverrideError {
     /// The environment variable that failed to parse.
@@ -328,42 +332,78 @@ impl std::fmt::Display for EnvOverrideError {
 
 impl std::error::Error for EnvOverrideError {}
 
-/// The shared envelope of every strict `ERASER_*` parser: trim the raw
-/// value, treat empty/whitespace as unset (CI matrix legs pass `""` to
-/// mean "no override"), and wrap any value-level rejection in an
-/// [`EnvOverrideError`] naming the variable. Each override supplies only
-/// its value grammar; the unset/error plumbing can't drift between knobs.
-pub(crate) fn parse_env_override<T>(
-    var: &'static str,
-    raw: &str,
-    parse: impl FnOnce(&str) -> Result<T, &'static str>,
-) -> Result<Option<T>, EnvOverrideError> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match parse(trimmed) {
-        Ok(value) => Ok(Some(value)),
-        Err(reason) => Err(EnvOverrideError {
-            var,
-            value: raw.to_string(),
-            reason,
-        }),
-    }
-}
+/// Fills one [`RunConfig`] field from a trimmed, non-empty override value.
+type EnvFill = fn(&mut RunConfig, &str) -> Result<(), &'static str>;
 
-/// Parses an `ERASER_THREADS` value: a positive integer. An empty (or
-/// all-whitespace) value counts as unset — CI matrix legs pass `""` to
-/// mean "no override".
-pub fn parse_threads_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_env_override("ERASER_THREADS", raw, parse_positive)
-}
-
-/// Parses an `ERASER_FUSION` value: a positive intra-shot fusion thread
-/// count (1 = sequential windowed decoding). Empty counts as unset.
-pub fn parse_fusion_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_env_override("ERASER_FUSION", raw, parse_positive)
-}
+/// The `ERASER_*` overrides, one row per variable. Each row fills its field
+/// only while the field is unset (0, `None` or `Auto`); an explicit field
+/// wins and its variable is never parsed.
+const ENV_OVERRIDES: [(&str, EnvFill); 6] = [
+    ("ERASER_THREADS", |c, v| {
+        if c.threads == 0 {
+            c.threads = parse_positive(v)?;
+        }
+        Ok(())
+    }),
+    ("ERASER_FUSION", |c, v| {
+        if c.fusion_threads == 0 {
+            c.fusion_threads = parse_positive(v)?;
+        }
+        Ok(())
+    }),
+    ("ERASER_DECODER", |c, v| {
+        if c.decoder == DecoderKind::Auto {
+            c.decoder = v.parse().map_err(|_| {
+                "unknown decoder (expected auto, mwpm, sparse-mwpm, union-find, or greedy)"
+            })?;
+        }
+        Ok(())
+    }),
+    // `"W"` (stride defaulted at run time against the code distance) or
+    // `"W:S"` with S ≤ W.
+    ("ERASER_WINDOW", |c, v| {
+        if c.window_rounds != 0 {
+            return Ok(());
+        }
+        const GRAMMAR: &str = "expected \"W\" or \"W:S\" with integer rounds";
+        let (window, stride) = match v.split_once(':') {
+            Some((window, stride)) => (window, Some(stride)),
+            None => (v, None),
+        };
+        let window = match window.trim().parse::<usize>() {
+            Ok(0) => return Err("window must be a positive round count"),
+            Ok(w) => w,
+            Err(_) => return Err(GRAMMAR),
+        };
+        let stride = match stride {
+            None => 0,
+            Some(stride) => match stride.trim().parse::<usize>() {
+                Ok(s) if s <= window => s,
+                Ok(_) => return Err("stride exceeds the window"),
+                Err(_) => return Err(GRAMMAR),
+            },
+        };
+        c.window_rounds = window;
+        c.window_stride = stride;
+        Ok(())
+    }),
+    ("ERASER_PREDECODE", |c, v| {
+        if c.predecode.is_none() {
+            c.predecode = Some(match v {
+                "on" => true,
+                "off" => false,
+                _ => return Err("expected \"on\" or \"off\""),
+            });
+        }
+        Ok(())
+    }),
+    ("ERASER_CONTROL", |c, v| {
+        if c.controller.is_none() {
+            c.controller = Some(ControllerConfig::parse_spec(v)?);
+        }
+        Ok(())
+    }),
+];
 
 fn parse_positive(value: &str) -> Result<usize, &'static str> {
     match value.parse::<usize>() {
@@ -373,169 +413,49 @@ fn parse_positive(value: &str) -> Result<usize, &'static str> {
     }
 }
 
-/// Parses an `ERASER_DECODER` value: a decoder name (`auto`, `mwpm`,
-/// `sparse-mwpm`, `union-find`, `greedy`, or an alias accepted by
-/// [`DecoderKind`]'s `FromStr`). Empty counts as unset — CI matrix legs
-/// pass `""` to mean "no override".
-pub fn parse_decoder_env(raw: &str) -> Result<Option<DecoderKind>, EnvOverrideError> {
-    parse_env_override("ERASER_DECODER", raw, |value| {
-        value.parse::<DecoderKind>().map_err(|_| {
-            "unknown decoder (expected auto, mwpm, sparse-mwpm, union-find, or greedy)"
-        })
-    })
-}
-
-/// Parses an `ERASER_WINDOW` specification: `"15"` (window only, stride
-/// defaulted at run time against the code distance) or `"15:10"`
-/// (window:stride, stride ≤ window). Empty counts as unset.
-pub fn parse_window_env(raw: &str) -> Result<Option<(usize, usize)>, EnvOverrideError> {
-    parse_env_override("ERASER_WINDOW", raw, |value| {
-        let mut it = value.splitn(2, ':');
-        let window = match it.next().unwrap_or("").trim().parse::<usize>() {
-            Ok(0) => return Err("window must be a positive round count"),
-            Ok(w) => w,
-            Err(_) => return Err("expected \"W\" or \"W:S\" with integer rounds"),
-        };
-        let stride = match it.next() {
-            Some(s) => match s.trim().parse::<usize>() {
-                Ok(x) if x <= window => x,
-                Ok(_) => return Err("stride exceeds the window"),
-                Err(_) => return Err("expected \"W\" or \"W:S\" with integer rounds"),
-            },
-            None => 0,
-        };
-        Ok((window, stride))
-    })
-}
-
-/// Parses an `ERASER_PREDECODE` value: `on` or `off` (the tiered
-/// sparse-syndrome fast path in front of every decode). Empty counts as
-/// unset — the predecoder then defaults to on.
-pub fn parse_predecode_env(raw: &str) -> Result<Option<bool>, EnvOverrideError> {
-    parse_env_override("ERASER_PREDECODE", raw, |value| match value {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err("expected \"on\" or \"off\""),
-    })
-}
-
-/// Reads one `ERASER_*` override through its strict parser: `Ok(None)`
-/// when the variable is unset, so each `RunConfig::resolved_*` reads as
-/// "field, else environment, else default".
-fn env_override<T>(
-    var: &str,
-    parse: impl FnOnce(&str) -> Result<Option<T>, EnvOverrideError>,
-) -> Result<Option<T>, EnvOverrideError> {
-    match std::env::var(var) {
-        Ok(raw) => parse(&raw),
-        Err(_) => Ok(None),
-    }
-}
-
 impl RunConfig {
-    /// The worker-thread count this configuration resolves to: `threads`
-    /// itself; else the `ERASER_THREADS` environment variable (the CI test
-    /// matrix's hook); else every available core. Results are bit-identical
-    /// for any resolution — shots own their RNG streams — so this only
-    /// affects wall-clock time. A malformed override is an error, never a
-    /// silent default.
-    pub fn resolved_threads(&self) -> Result<usize, EnvOverrideError> {
-        Ok(match self.threads {
-            0 => env_override("ERASER_THREADS", parse_threads_env)?
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-            n => n,
-        })
+    /// This configuration with every unset knob filled from its `ERASER_*`
+    /// environment variable (the CI test matrix's hooks): `threads`,
+    /// `fusion_threads`, `decoder`, `window_rounds`/`window_stride`,
+    /// `predecode` and `controller`. An explicit field always wins. An
+    /// empty or all-whitespace value counts as unset (CI matrix legs pass
+    /// `""` to mean "no override"); a malformed one is an error, never a
+    /// silent default. The `Experiment`/`Sweep` builders apply this once,
+    /// at build time; their runs read only the resulting fields.
+    pub fn with_env(self) -> Result<RunConfig, EnvOverrideError> {
+        ENV_OVERRIDES
+            .iter()
+            .try_fold(self, |config, row| match std::env::var(row.0) {
+                Ok(raw) => config.with_override(row, &raw),
+                Err(_) => Ok(config),
+            })
     }
 
-    /// The `(window_rounds, window_stride)` pair this configuration resolves
-    /// to: the config fields themselves when `window_rounds` is set; else the
-    /// `ERASER_WINDOW` environment variable (`"W"` or `"W:S"`, the CI smoke
-    /// leg's hook); else `(0, 0)` — monolithic decoding. A stride of 0 is
-    /// resolved later against the code distance (`window − d`, min 1).
-    /// A malformed override is an error, never a silent default.
-    pub fn resolved_window(&self) -> Result<(usize, usize), EnvOverrideError> {
-        Ok(match self.window_rounds {
-            0 => env_override("ERASER_WINDOW", parse_window_env)?.unwrap_or((0, 0)),
-            w => (w, self.window_stride.min(w)),
-        })
-    }
-
-    /// The decoder selection this configuration resolves to: `decoder`
-    /// itself when it is not `Auto`; else the `ERASER_DECODER` environment
-    /// variable (the CI test matrix's hook); else `Auto`, deferred to
-    /// [`DecoderKind::resolve`] against the concrete decoding graph. Every
-    /// resolution is MWPM-accurate or an explicitly requested ablation, so
-    /// the override never silently degrades accuracy. A malformed override
-    /// is an error, never a silent default.
-    pub fn resolved_decoder(&self) -> Result<DecoderKind, EnvOverrideError> {
-        Ok(match self.decoder {
-            DecoderKind::Auto => {
-                env_override("ERASER_DECODER", parse_decoder_env)?.unwrap_or(DecoderKind::Auto)
-            }
-            kind => kind,
-        })
-    }
-
-    /// The stripe width this configuration resolves to: `stripe_width`
-    /// clamped to 1..=64, with 0 meaning the full 64-lane stripe. Results
-    /// are bit-identical for any width — this only affects wall-clock time.
-    pub fn resolved_stripe_width(&self) -> usize {
-        match self.stripe_width {
-            0 => STRIPE_WIDTH,
-            w => w.min(STRIPE_WIDTH),
+    /// Applies one `ENV_OVERRIDES` row as if its variable were set to
+    /// `raw`: the pure core of [`RunConfig::with_env`].
+    pub(crate) fn with_override(
+        mut self,
+        &(var, fill): &(&'static str, EnvFill),
+        raw: &str,
+    ) -> Result<RunConfig, EnvOverrideError> {
+        let value = raw.trim();
+        if !value.is_empty() {
+            fill(&mut self, value).map_err(|reason| EnvOverrideError {
+                var,
+                value: raw.to_string(),
+                reason,
+            })?;
         }
+        Ok(self)
     }
+}
 
-    /// The intra-shot fusion thread count this configuration resolves to:
-    /// `fusion_threads` itself; else the `ERASER_FUSION` environment
-    /// variable (the CI test matrix's hook); else 1 — sequential windowed
-    /// decoding. Results are bit-identical for any resolution (the fusion
-    /// merge tree reconverges on the sequential carry chain), so this only
-    /// affects per-shot decode latency. A malformed override is an error,
-    /// never a silent default.
-    pub fn resolved_fusion(&self) -> Result<usize, EnvOverrideError> {
-        Ok(match self.fusion_threads {
-            0 => env_override("ERASER_FUSION", parse_fusion_env)?.unwrap_or(1),
-            n => n,
-        })
-    }
-
-    /// The controller configuration adaptive policies resolve to:
-    /// `controller` itself when set; else the `ERASER_CONTROL` environment
-    /// variable (a controller spec, e.g. `ewma:up=0.1,down=0.03`); else
-    /// `None` — the `PolicyKind::Adaptive` variant's own knobs apply.
-    /// A malformed override is an error, never a silent default.
-    pub fn resolved_controller(&self) -> Result<Option<ControllerConfig>, EnvOverrideError> {
-        match self.controller {
-            Some(config) => Ok(Some(config)),
-            None => env_override("ERASER_CONTROL", parse_control_env),
-        }
-    }
-
-    /// Whether the tiered predecoder is active for this run: `predecode`
-    /// itself when set; else the `ERASER_PREDECODE` environment variable
-    /// (`on`/`off`, the CI test matrix's hook); else on. Results are
-    /// bit-identical for either resolution — the tiers are exact — so this
-    /// only affects decode latency and telemetry. A malformed override is
-    /// an error, never a silent default.
-    pub fn resolved_predecode(&self) -> Result<bool, EnvOverrideError> {
-        match self.predecode {
-            Some(on) => Ok(on),
-            None => Ok(env_override("ERASER_PREDECODE", parse_predecode_env)?.unwrap_or(true)),
-        }
-    }
-
-    /// Checks every `ERASER_*` override this configuration would consult,
-    /// so facades can reject malformed environments eagerly (at build
-    /// time) instead of deep inside a worker thread.
-    pub fn validate_env(&self) -> Result<(), EnvOverrideError> {
-        self.resolved_threads()?;
-        self.resolved_window()?;
-        self.resolved_decoder()?;
-        self.resolved_fusion()?;
-        self.resolved_controller()?;
-        self.resolved_predecode()?;
-        Ok(())
+/// The lanes per stripe for a [`RunConfig::stripe_width`]: 0 means the full
+/// 64-lane word, and wider requests clamp to it.
+fn stripe_lanes(width: usize) -> usize {
+    match width {
+        0 => STRIPE_WIDTH,
+        w => w.min(STRIPE_WIDTH),
     }
 }
 
@@ -955,27 +875,27 @@ pub struct MemoryRunner {
     qubit_round_edges: Vec<usize>,
 }
 
-/// The decode-path artifacts resolved for one (runner, config) pair:
-/// either a sliding-window plan or the monolithic decoder's precomputed
-/// tables, `Arc`-shared so an [`ArtifactCache`] can hand one build to many
+/// Everything a run resolves from its configuration before the shot loop:
+/// the worker-thread count, whether the predecoder is on, and the decode
+/// path — a sliding-window plan or one monolithic backend's precomputed
+/// table, `Arc`-shared so an [`ArtifactCache`] can hand one build to many
 /// runs. Built by [`MemoryRunner::decode_artifacts`]; consumed by
 /// [`MemoryRunner::run_with_artifacts`].
 #[derive(Debug, Clone)]
 pub struct DecodeArtifacts {
+    threads: usize,
+    predecode: bool,
     resolved: Option<ResolvedDecode>,
 }
 
+/// The decode path of a run: one variant per monolithic backend, each
+/// holding only its own table, or a window chain.
 #[derive(Debug, Clone)]
 enum ResolvedDecode {
-    /// Whole-experiment decoding; `kind` is resolved (never `Auto`) and
-    /// exactly one of the tables is populated (paths for MWPM/greedy,
-    /// capacities for union-find, the boundary index for sparse MWPM).
-    Monolithic {
-        kind: DecoderKind,
-        paths: Option<Arc<ShortestPaths>>,
-        capacities: Option<Arc<UnionFindCapacities>>,
-        sparse: Option<Arc<SparseIndex>>,
-    },
+    Mwpm(Arc<ShortestPaths>),
+    Greedy(Arc<ShortestPaths>),
+    SparseMwpm(Arc<SparseIndex>),
+    UnionFind(Arc<UnionFindCapacities>),
     /// Sliding-window streaming decoding.
     Windowed(Arc<WindowPlan>),
     /// Sliding-window decoding with intra-shot fusion parallelism: the
@@ -1008,14 +928,17 @@ impl DecodeArtifacts {
 
     /// The decoder name a run with these artifacts reports in
     /// [`MemoryRunResult::decoder`]: the window backend on the streaming
-    /// paths (which an `ERASER_WINDOW` / `ERASER_FUSION` override can
-    /// resolve differently than the monolithic graph would), the resolved
-    /// monolithic kind otherwise, `"none"` when decoding is disabled.
+    /// paths (which can resolve differently than the monolithic graph
+    /// would), the monolithic backend otherwise, `"none"` when decoding is
+    /// disabled.
     pub fn decoder_name(&self) -> String {
         match &self.resolved {
+            Some(ResolvedDecode::Mwpm(_)) => DecoderKind::Mwpm.to_string(),
+            Some(ResolvedDecode::Greedy(_)) => DecoderKind::Greedy.to_string(),
+            Some(ResolvedDecode::SparseMwpm(_)) => DecoderKind::SparseMwpm.to_string(),
+            Some(ResolvedDecode::UnionFind(_)) => DecoderKind::UnionFind.to_string(),
             Some(ResolvedDecode::Windowed(plan)) => plan.backend().name().to_string(),
             Some(ResolvedDecode::Fused(fplan)) => fplan.window_plan().backend().name().to_string(),
-            Some(ResolvedDecode::Monolithic { kind, .. }) => kind.to_string(),
             None => "none".to_string(),
         }
     }
@@ -1274,137 +1197,138 @@ impl MemoryRunner {
         buckets + detectors + segments + graph
     }
 
-    /// Resolves the decode-path artifacts for `config`: the sliding-window
-    /// plan when a window applies, else the monolithic decoder's APSP or
-    /// capacity table. With a cache, artifacts are fetched by content key
-    /// and shared across runs (and across content-identical runners);
-    /// without one they are built fresh — the results are bit-identical
-    /// either way, because every artifact is a deterministic function of
-    /// the key.
+    /// Resolves the decode-path artifacts for `config`, after applying the
+    /// `ERASER_*` overrides to it ([`RunConfig::with_env`]): the
+    /// sliding-window plan when a window applies, else the monolithic
+    /// decoder's APSP, capacity or boundary table. With a cache, artifacts
+    /// are fetched by content key and shared across runs (and across
+    /// content-identical runners); without one they are built fresh — the
+    /// results are bit-identical either way, because every artifact is a
+    /// deterministic function of the key.
     ///
-    /// Fails only on a malformed `ERASER_WINDOW` / `ERASER_DECODER` /
-    /// `ERASER_FUSION` override.
+    /// Fails only on a malformed `ERASER_*` override.
     pub fn decode_artifacts(
         &self,
         config: &RunConfig,
         cache: Option<&ArtifactCache>,
     ) -> Result<DecodeArtifacts, EnvOverrideError> {
-        if !config.decode {
-            return Ok(DecodeArtifacts { resolved: None });
+        Ok(self.resolve_artifacts(&config.with_env()?, cache))
+    }
+
+    /// [`MemoryRunner::decode_artifacts`] on a configuration whose overrides
+    /// are already applied: reads its fields only, with the plain defaults
+    /// — threads 0 is every core, fusion 0 is 1, predecode unset is on,
+    /// window 0 is monolithic.
+    pub(crate) fn resolve_artifacts(
+        &self,
+        config: &RunConfig,
+        cache: Option<&ArtifactCache>,
+    ) -> DecodeArtifacts {
+        DecodeArtifacts {
+            threads: match config.threads {
+                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                n => n,
+            },
+            predecode: config.predecode.unwrap_or(true),
+            resolved: config.decode.then(|| self.resolve_decode(config, cache)),
         }
-        // Streaming vs monolithic decode path. A window of 0 (or beyond the
-        // round count, where a single window would cover the whole shot)
-        // selects monolithic decoding — unless fusion is requested, which
-        // *requires* a window chain to partition: fusion_threads > 1 with
-        // no usable window derives the default geometry min(3d, rounds).
-        let (mut window, mut stride_raw) = config.resolved_window()?;
-        let decoder = config.resolved_decoder()?;
-        let fusion = config.resolved_fusion()?;
+    }
+
+    fn resolve_decode(&self, config: &RunConfig, cache: Option<&ArtifactCache>) -> ResolvedDecode {
+        let rounds = self.exp.rounds();
         let d = self.exp.code().distance();
-        if fusion > 1 && (window == 0 || window > self.exp.rounds()) {
-            window = (3 * d).min(self.exp.rounds());
-            stride_raw = 0;
+        let fusion = config.fusion_threads.max(1);
+        // A window of 0 (or beyond the round count, where a single window
+        // would cover the whole shot) selects monolithic decoding — unless
+        // fusion is requested, which *requires* a window chain to
+        // partition: fusion_threads > 1 with no usable window derives the
+        // default geometry min(3d, rounds).
+        let (mut window, mut stride) = (
+            config.window_rounds,
+            config.window_stride.min(config.window_rounds),
+        );
+        if fusion > 1 && (window == 0 || window > rounds) {
+            (window, stride) = ((3 * d).min(rounds), 0);
         }
-        let resolved = if window > 0 && window <= self.exp.rounds() {
-            let stride = if stride_raw == 0 {
-                window.saturating_sub(d).max(1)
-            } else {
-                stride_raw.min(window)
-            };
-            let backend = decoder.resolve_window_backend(&self.graph, window);
-            let plan = match cache {
-                Some(cache) => cache.get_or_build(
-                    &CacheKey {
-                        experiment: self.cache_key(),
-                        kind: ArtifactKind::WindowPlan {
-                            window,
-                            stride,
-                            backend,
-                        },
-                    },
-                    WindowPlan::approx_decoder_bytes,
-                    || WindowPlan::new(&self.graph, window, stride, backend),
-                ),
-                None => Arc::new(WindowPlan::new(&self.graph, window, stride, backend)),
-            };
-            if fusion > 1 {
-                let fplan = match cache {
-                    Some(cache) => cache.get_or_build(
-                        &CacheKey {
-                            experiment: self.cache_key(),
-                            kind: ArtifactKind::FusionPlan {
-                                window,
-                                stride,
-                                backend,
-                                threads: fusion,
-                            },
-                        },
-                        FusionPlan::approx_bytes,
-                        || FusionPlan::new(Arc::clone(&plan), fusion),
-                    ),
-                    None => Arc::new(FusionPlan::new(Arc::clone(&plan), fusion)),
-                };
-                ResolvedDecode::Fused(fplan)
-            } else {
-                ResolvedDecode::Windowed(plan)
-            }
-        } else {
-            let kind = decoder.resolve(&self.graph);
-            let (paths, capacities, sparse) = match kind {
-                DecoderKind::Mwpm | DecoderKind::Greedy => {
-                    let paths = match cache {
-                        Some(cache) => cache.get_or_build(
-                            &CacheKey {
-                                experiment: self.cache_key(),
-                                kind: ArtifactKind::Apsp,
-                            },
-                            ShortestPaths::approx_bytes,
-                            || ShortestPaths::compute(&self.graph),
-                        ),
-                        None => Arc::new(ShortestPaths::compute(&self.graph)),
-                    };
-                    (Some(paths), None, None)
+        if window == 0 || window > rounds {
+            return match config.decoder.resolve(&self.graph) {
+                DecoderKind::SparseMwpm => ResolvedDecode::SparseMwpm(self.artifact(
+                    cache,
+                    ArtifactKind::SparseIndex,
+                    SparseIndex::approx_bytes,
+                    || SparseIndex::compute(&self.graph),
+                )),
+                DecoderKind::UnionFind => ResolvedDecode::UnionFind(self.artifact(
+                    cache,
+                    ArtifactKind::UfCapacities,
+                    UnionFindCapacities::approx_bytes,
+                    || UnionFindCapacities::compute(&self.graph),
+                )),
+                // MWPM and greedy share the all-pairs table.
+                kind => {
+                    let paths = self.artifact(
+                        cache,
+                        ArtifactKind::Apsp,
+                        ShortestPaths::approx_bytes,
+                        || ShortestPaths::compute(&self.graph),
+                    );
+                    match kind {
+                        DecoderKind::Greedy => ResolvedDecode::Greedy(paths),
+                        _ => ResolvedDecode::Mwpm(paths),
+                    }
                 }
-                DecoderKind::SparseMwpm => {
-                    let sparse = match cache {
-                        Some(cache) => cache.get_or_build(
-                            &CacheKey {
-                                experiment: self.cache_key(),
-                                kind: ArtifactKind::SparseIndex,
-                            },
-                            SparseIndex::approx_bytes,
-                            || SparseIndex::compute(&self.graph),
-                        ),
-                        None => Arc::new(SparseIndex::compute(&self.graph)),
-                    };
-                    (None, None, Some(sparse))
-                }
-                DecoderKind::UnionFind => {
-                    let capacities = match cache {
-                        Some(cache) => cache.get_or_build(
-                            &CacheKey {
-                                experiment: self.cache_key(),
-                                kind: ArtifactKind::UfCapacities,
-                            },
-                            UnionFindCapacities::approx_bytes,
-                            || UnionFindCapacities::compute(&self.graph),
-                        ),
-                        None => Arc::new(UnionFindCapacities::compute(&self.graph)),
-                    };
-                    (None, Some(capacities), None)
-                }
-                DecoderKind::Auto => unreachable!("resolve never returns Auto"),
             };
-            ResolvedDecode::Monolithic {
-                kind,
-                paths,
-                capacities,
-                sparse,
-            }
-        };
-        Ok(DecodeArtifacts {
-            resolved: Some(resolved),
-        })
+        }
+        if stride == 0 {
+            stride = window.saturating_sub(d).max(1);
+        }
+        let backend = config.decoder.resolve_window_backend(&self.graph, window);
+        let plan = self.artifact(
+            cache,
+            ArtifactKind::WindowPlan {
+                window,
+                stride,
+                backend,
+            },
+            WindowPlan::approx_decoder_bytes,
+            || WindowPlan::new(&self.graph, window, stride, backend),
+        );
+        if fusion == 1 {
+            return ResolvedDecode::Windowed(plan);
+        }
+        ResolvedDecode::Fused(self.artifact(
+            cache,
+            ArtifactKind::FusionPlan {
+                window,
+                stride,
+                backend,
+                threads: fusion,
+            },
+            FusionPlan::approx_bytes,
+            || FusionPlan::new(Arc::clone(&plan), fusion),
+        ))
+    }
+
+    /// One decode artifact of this runner: fetched from `cache` by content
+    /// key, or built fresh without one.
+    fn artifact<T: Send + Sync + 'static>(
+        &self,
+        cache: Option<&ArtifactCache>,
+        kind: ArtifactKind,
+        size: impl FnOnce(&T) -> usize,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        match cache {
+            Some(cache) => cache.get_or_build(
+                &CacheKey {
+                    experiment: self.cache_key(),
+                    kind,
+                },
+                size,
+                build,
+            ),
+            None => Arc::new(build()),
+        }
     }
 
     /// Runs `config.shots` shots of the experiment under the policy produced
@@ -1418,9 +1342,9 @@ impl MemoryRunner {
     /// # Panics
     ///
     /// Panics if `config.shots == 0`, or on a malformed `ERASER_*`
-    /// environment override (the `Experiment`/`Sweep` facades validate the
-    /// environment at build time and surface the same condition as an
-    /// `Err` instead).
+    /// environment override: this call returns no `Result`. The
+    /// `Experiment`/`Sweep` facades apply the overrides at build time and
+    /// surface the same condition as an `Err` instead.
     pub fn run(
         &self,
         policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
@@ -1435,15 +1359,14 @@ impl MemoryRunner {
     /// [`MemoryRunner::run`] with pre-resolved decode artifacts.
     ///
     /// `artifacts` must come from [`MemoryRunner::decode_artifacts`] on a
-    /// content-identical runner with this `config` (same decoder selection
-    /// and window geometry). Results are bit-identical to [`run`] — the
-    /// artifacts are deterministic, so sharing them cannot change a single
-    /// decode.
+    /// content-identical runner with this `config`: they fix the run's
+    /// decoder, window geometry, worker-thread count and predecoder switch.
+    /// Results are bit-identical to [`run`] — the artifacts are
+    /// deterministic, so sharing them cannot change a single decode.
     ///
     /// # Panics
     ///
-    /// Panics if `config.shots == 0`, or on a malformed `ERASER_*`
-    /// environment override.
+    /// Panics if `config.shots == 0`.
     ///
     /// [`run`]: MemoryRunner::run
     pub fn run_with_artifacts(
@@ -1461,44 +1384,26 @@ impl MemoryRunner {
         // The factory holds the expensive precomputation (APSP table, edge
         // capacities) — resolved once, possibly from a cache; worker
         // threads build their own stateful instances from it.
+        let graph = &self.graph;
         let factory: Option<Box<dyn DecoderFactory + '_>> = match &artifacts.resolved {
-            Some(ResolvedDecode::Monolithic {
-                kind,
-                paths,
-                capacities,
-                sparse,
-            }) => Some(match kind {
-                DecoderKind::Mwpm => Box::new(MwpmFactory::with_paths(
-                    &self.graph,
-                    Arc::clone(paths.as_ref().expect("mwpm artifacts carry paths")),
-                )),
-                DecoderKind::SparseMwpm => Box::new(SparseMwpmFactory::with_index(
-                    &self.graph,
-                    Arc::clone(sparse.as_ref().expect("sparse artifacts carry an index")),
-                )),
-                DecoderKind::Greedy => Box::new(GreedyFactory::with_paths(
-                    &self.graph,
-                    Arc::clone(paths.as_ref().expect("greedy artifacts carry paths")),
-                )),
-                DecoderKind::UnionFind => Box::new(UnionFindFactory::with_capacities(
-                    &self.graph,
-                    Arc::clone(
-                        capacities
-                            .as_ref()
-                            .expect("union-find artifacts carry capacities"),
-                    ),
-                )),
-                DecoderKind::Auto => unreachable!("artifacts hold a resolved kind"),
-            }),
+            Some(ResolvedDecode::Mwpm(paths)) => {
+                Some(Box::new(MwpmFactory::with_paths(graph, Arc::clone(paths))))
+            }
+            Some(ResolvedDecode::Greedy(paths)) => Some(Box::new(GreedyFactory::with_paths(
+                graph,
+                Arc::clone(paths),
+            ))),
+            Some(ResolvedDecode::SparseMwpm(index)) => Some(Box::new(
+                SparseMwpmFactory::with_index(graph, Arc::clone(index)),
+            )),
+            Some(ResolvedDecode::UnionFind(capacities)) => Some(Box::new(
+                UnionFindFactory::with_capacities(graph, Arc::clone(capacities)),
+            )),
             _ => None,
         };
         let factory = factory.as_deref();
 
-        let threads = config
-            .resolved_threads()
-            .unwrap_or_else(|e| panic!("{e}"))
-            .min(config.shots.max(1) as usize)
-            .max(1);
+        let threads = artifacts.threads.min(config.shots.max(1) as usize).max(1);
         // Contiguous shot ranges per worker. Every shot derives its own RNG
         // stream from (seed, global shot index) — see `shot_rng` — so the
         // partitioning affects wall-clock time only: results are
@@ -1514,13 +1419,8 @@ impl MemoryRunner {
             first += count;
         }
 
-        let width = config.resolved_stripe_width();
-        // The tiered predecoder fronts every decode (bit-identical either
-        // way); resolved here so a malformed `ERASER_PREDECODE` panics on
-        // the calling thread, never inside a worker.
-        let predecode = config
-            .resolved_predecode()
-            .unwrap_or_else(|e| panic!("{e}"));
+        let width = stripe_lanes(config.stripe_width);
+        let predecode = artifacts.predecode;
         let partials: Vec<PartialStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
                 .into_iter()
@@ -1601,11 +1501,7 @@ impl MemoryRunner {
             speculation: merged.speculation,
             postselection: merged.postselection,
             policy: policy_name,
-            decoder: plan
-                .map(|p| p.backend().name())
-                .or_else(|| factory.map(|f| f.name()))
-                .unwrap_or("none")
-                .to_string(),
+            decoder: artifacts.decoder_name(),
             decode_latency: merged.decode_latency,
             controller: merged.controller,
             predecode: merged.predecode,
@@ -2080,6 +1976,14 @@ mod tests {
     use super::*;
     use crate::policy::{AlwaysLrcPolicy, EraserPolicy, NoLrcPolicy, OptimalPolicy};
 
+    /// The `ENV_OVERRIDES` row of one `ERASER_*` variable.
+    fn env_row(var: &str) -> &'static (&'static str, EnvFill) {
+        ENV_OVERRIDES
+            .iter()
+            .find(|(name, _)| *name == var)
+            .unwrap_or_else(|| panic!("{var} has no ENV_OVERRIDES row"))
+    }
+
     fn cfg(shots: u64) -> RunConfig {
         RunConfig {
             shots,
@@ -2311,26 +2215,34 @@ mod tests {
         assert!(result.ler() < 0.2);
     }
 
-    /// Table-driven coverage of every `ERASER_*` override parser. All
-    /// six route through the shared [`parse_env_override`] envelope, and
-    /// this single test pins the shared contract: valid values parse,
-    /// empty/whitespace means unset, and malformed values are a *clear
-    /// error* naming the variable and the reason — never a silent default
-    /// or a panic. The parsers are pure functions of the raw string — no
-    /// `set_var` here, which would race with concurrently running tests.
+    /// Table-driven coverage of every `ERASER_*` override. All six rows of
+    /// `ENV_OVERRIDES` route through the shared [`RunConfig::with_override`]
+    /// envelope, and this single test pins the shared contract: valid values
+    /// fill the unset field, empty/whitespace means unset, and malformed
+    /// values are a *clear error* naming the variable and the reason — never
+    /// a silent default or a panic. `with_override` is a pure function of
+    /// the raw string — no `set_var` here, which would race with
+    /// concurrently running tests.
     #[test]
     fn env_override_parsing_is_strict() {
-        use crate::control::{parse_control_env, ControlBase, ControlLawKind, ControllerConfig};
+        use crate::control::{ControlBase, ControlLawKind, ControllerConfig};
 
-        // The shared envelope assertion every knob's cases run through.
+        // The shared envelope assertion every knob's cases run through:
+        // `field` reads the knob back from the filled configuration, `None`
+        // while it is still unset.
         fn check<T: std::fmt::Debug + PartialEq>(
             var: &str,
             raw: &str,
-            result: Result<Option<T>, EnvOverrideError>,
+            field: fn(&RunConfig) -> Option<T>,
             expected: &Result<Option<T>, &str>,
         ) {
+            let result = RunConfig::default().with_override(env_row(var), raw);
             match expected {
-                Ok(v) => assert_eq!(result.as_ref().ok(), Some(v), "{var}={raw:?}"),
+                Ok(v) => assert_eq!(
+                    result.as_ref().ok().map(field).as_ref(),
+                    Some(v),
+                    "{var}={raw:?}"
+                ),
                 Err(reason) => {
                     let err = result.expect_err(&format!("{var}={raw:?} must error"));
                     assert_eq!(err.var, var);
@@ -2357,8 +2269,18 @@ mod tests {
             ("4.0", Err("not an integer")),
         ];
         for (raw, expected) in int_cases {
-            check("ERASER_THREADS", raw, parse_threads_env(raw), expected);
-            check("ERASER_FUSION", raw, parse_fusion_env(raw), expected);
+            check(
+                "ERASER_THREADS",
+                raw,
+                |c| (c.threads != 0).then_some(c.threads),
+                expected,
+            );
+            check(
+                "ERASER_FUSION",
+                raw,
+                |c| (c.fusion_threads != 0).then_some(c.fusion_threads),
+                expected,
+            );
         }
 
         type WindowCase = (&'static str, Result<Option<(usize, usize)>, &'static str>);
@@ -2376,7 +2298,12 @@ mod tests {
             ("8:", Err("expected \"W\" or \"W:S\" with integer rounds")),
         ];
         for (raw, expected) in window_cases {
-            check("ERASER_WINDOW", raw, parse_window_env(raw), expected);
+            check(
+                "ERASER_WINDOW",
+                raw,
+                |c| (c.window_rounds != 0).then_some((c.window_rounds, c.window_stride)),
+                expected,
+            );
         }
 
         let unknown_decoder =
@@ -2389,14 +2316,20 @@ mod tests {
             ("SPARSE-BLOSSOM", Ok(Some(DecoderKind::SparseMwpm))),
             ("uf", Ok(Some(DecoderKind::UnionFind))),
             ("greedy", Ok(Some(DecoderKind::Greedy))),
-            ("auto", Ok(Some(DecoderKind::Auto))),
+            // `auto` is a valid value that leaves the field unset.
+            ("auto", Ok(None)),
             ("", Ok(None)),
             ("  ", Ok(None)),
             ("tensor-network", Err(unknown_decoder)),
             ("mwpm2", Err(unknown_decoder)),
         ];
         for (raw, expected) in decoder_cases {
-            check("ERASER_DECODER", raw, parse_decoder_env(raw), expected);
+            check(
+                "ERASER_DECODER",
+                raw,
+                |c| (c.decoder != DecoderKind::Auto).then_some(c.decoder),
+                expected,
+            );
         }
 
         let predecode_cases: &[(&str, Result<Option<bool>, &str>)] = &[
@@ -2409,7 +2342,7 @@ mod tests {
             ("ON", Err("expected \"on\" or \"off\"")),
         ];
         for (raw, expected) in predecode_cases {
-            check("ERASER_PREDECODE", raw, parse_predecode_env(raw), expected);
+            check("ERASER_PREDECODE", raw, |c| c.predecode, expected);
         }
 
         type ControlCase = (&'static str, Result<Option<ControllerConfig>, &'static str>);
@@ -2459,44 +2392,108 @@ mod tests {
             ("ewma:up", Err("knobs must be key=value pairs")),
         ];
         for (raw, expected) in control_cases {
-            check("ERASER_CONTROL", raw, parse_control_env(raw), expected);
+            check("ERASER_CONTROL", raw, |c| c.controller, expected);
         }
     }
 
     #[test]
     fn config_fields_win_over_environment_hooks() {
-        // Explicit config fields resolve without consulting the
-        // environment at all.
+        use crate::control::ControllerConfig;
+        // With each knob set explicitly, its variable is neither parsed (a
+        // garbage value is no error) nor applied (a valid one changes
+        // nothing).
+        let cases: [(&str, &str, RunConfig); 6] = [
+            (
+                "ERASER_THREADS",
+                "8",
+                RunConfig {
+                    threads: 3,
+                    ..RunConfig::default()
+                },
+            ),
+            (
+                "ERASER_FUSION",
+                "8",
+                RunConfig {
+                    fusion_threads: 2,
+                    ..RunConfig::default()
+                },
+            ),
+            (
+                "ERASER_DECODER",
+                "greedy",
+                RunConfig {
+                    decoder: DecoderKind::UnionFind,
+                    ..RunConfig::default()
+                },
+            ),
+            (
+                "ERASER_WINDOW",
+                "12:6",
+                RunConfig {
+                    window_rounds: 6,
+                    window_stride: 4,
+                    ..RunConfig::default()
+                },
+            ),
+            (
+                "ERASER_PREDECODE",
+                "on",
+                RunConfig {
+                    predecode: Some(false),
+                    ..RunConfig::default()
+                },
+            ),
+            (
+                "ERASER_CONTROL",
+                "ewma",
+                RunConfig {
+                    controller: Some(ControllerConfig::budget()),
+                    ..RunConfig::default()
+                },
+            ),
+        ];
+        for (var, valid, config) in cases {
+            for raw in ["garbage", valid] {
+                let filled = config
+                    .with_override(env_row(var), raw)
+                    .unwrap_or_else(|e| panic!("an explicit field must not parse {var}: {e}"));
+                assert_eq!(
+                    format!("{filled:?}"),
+                    format!("{config:?}"),
+                    "{var}={raw:?} must not touch an explicit field"
+                );
+            }
+        }
+
+        // The run path clamps what the builders would reject, without
+        // consulting the environment at all.
+        let runner = MemoryRunner::new(3, NoiseParams::standard(1e-3), 12);
         let config = RunConfig {
             window_rounds: 6,
             window_stride: 9,
-            ..RunConfig::default()
-        };
-        assert_eq!(
-            config.resolved_window().unwrap(),
-            (6, 6),
-            "stride clamps to window"
-        );
-        let config = RunConfig {
             threads: 3,
-            stripe_width: 200,
             ..RunConfig::default()
         };
-        assert_eq!(config.resolved_threads().unwrap(), 3);
+        let artifacts = runner.resolve_artifacts(&config, None);
+        assert_eq!(artifacts.threads, 3);
+        match &artifacts.resolved {
+            Some(ResolvedDecode::Windowed(plan)) => {
+                assert_eq!(
+                    (plan.window(), plan.stride()),
+                    (6, 6),
+                    "stride clamps to window"
+                )
+            }
+            other => panic!("expected a window plan, got {other:?}"),
+        }
         assert_eq!(
-            config.resolved_stripe_width(),
+            stripe_lanes(200),
             STRIPE_WIDTH,
             "stripe clamps to the 64-lane word"
         );
-        let config = RunConfig {
-            controller: Some(ControllerConfig::budget()),
-            ..RunConfig::default()
-        };
-        assert_eq!(
-            config.resolved_controller().unwrap(),
-            Some(ControllerConfig::budget()),
-            "an explicit controller field needs no environment"
-        );
+        assert_eq!(stripe_lanes(0), STRIPE_WIDTH, "0 means the full word");
+        assert_eq!(stripe_lanes(5), 5);
     }
 
     #[test]
@@ -2679,7 +2676,7 @@ mod tests {
         };
         let artifacts = runner.decode_artifacts(&sequential, None).unwrap();
         assert!(!artifacts.fused());
-        if sequential.resolved_window().unwrap().0 == 0 {
+        if sequential.with_env().unwrap().window_rounds == 0 {
             assert!(!artifacts.windowed());
         }
         // An explicit window under fusion keeps its configured geometry.

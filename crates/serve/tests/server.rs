@@ -275,6 +275,9 @@ fn full_queue_answers_busy_instead_of_hanging() {
         first.submit(&long).unwrap(),
         Submission::Accepted { .. }
     ));
+    // The first job's first point proves the executor has taken it off the
+    // queue; until then the only slot may still be the first job's.
+    assert!(matches!(first.next_event().unwrap(), JobEvent::Point(_)));
 
     // Queue capacity is 1: the second job occupies the only slot...
     let mut second = Client::connect(server.addr()).unwrap();
